@@ -1,82 +1,135 @@
 #include "condsel/histogram/histogram_join.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "condsel/common/macros.h"
 #include "condsel/common/numeric.h"
+#include "condsel/histogram/internal.h"
 
 namespace condsel {
 namespace {
 
-// Sub-bucket of `h` restricted to [lo, hi] under the continuous-values
-// assumption.
-struct Slice {
-  double frequency = 0.0;
-  double distinct = 0.0;
+using histogram_internal::SpanWidth;
+
+constexpr int64_t kMaxValue = std::numeric_limits<int64_t>::max();
+
+// A cut point of the alignment walk: a finite value, or the open end of
+// an open-ended bucket, which sorts after every finite value.
+struct Cut {
+  int64_t value = 0;
+  bool open = false;
+  bool operator==(const Cut&) const = default;
 };
 
-Slice SliceBucket(const Bucket& b, int64_t lo, int64_t hi) {
-  Slice s;
-  const int64_t olo = std::max(lo, b.lo);
-  const int64_t ohi = std::min(hi, b.hi);
-  if (olo > ohi) return s;
-  const double frac = static_cast<double>(ohi - olo + 1) / b.Width();
-  s.frequency = b.frequency * frac;
-  s.distinct = b.distinct * frac;
-  return s;
+bool Before(Cut a, Cut b) { return !a.open && (b.open || a.value < b.value); }
+
+// Cursor over one histogram's boundary sequence lo0, hi0 + 1, lo1,
+// hi1 + 1, ..., read in place. Having consumed every boundary up to some
+// cut, the cursor sits inside a bucket exactly when it has consumed that
+// bucket's lo but not its end — an odd number of boundaries — so it also
+// serves as the bucket cursor.
+class Boundaries {
+ public:
+  explicit Boundaries(const Histogram& h)
+      : buckets_(h.buckets().data()), end_(2 * h.num_buckets()) {
+    Load();
+  }
+
+  bool done() const { return k_ == end_; }
+  bool inside() const { return (k_ & 1) != 0; }
+  const Bucket& bucket() const { return buckets_[k_ / 2]; }
+  Cut head() const { return head_; }
+
+  // The sequence is non-decreasing, so every copy of `c` is at the head.
+  void SkipPast(Cut c) {
+    while (!done() && head_ == c) {
+      ++k_;
+      Load();
+    }
+  }
+
+ private:
+  void Load() {
+    if (done()) return;
+    const Bucket& b = buckets_[k_ / 2];
+    if (!inside()) {
+      head_ = {b.lo, false};
+    } else if (b.hi == kMaxValue) {
+      head_ = {kMaxValue, true};
+    } else {
+      head_ = {b.hi + 1, false};
+    }
+  }
+
+  const Bucket* buckets_;
+  size_t end_;
+  size_t k_ = 0;
+  Cut head_;
+};
+
+// The alignment walk both joins share. Merges the two boundary sequences,
+// dropping duplicates, and calls
+//   visit(lo, hi, contribution, min_distinct)
+// for every aligned interval [lo, hi] inside a bucket of each side, in
+// ascending order. Every boundary is a cut, so such an interval lies
+// wholly inside both buckets and each slice is the fraction
+// width(interval) / width(bucket) of its bucket (continuous values).
+template <typename Visit>
+CONDSEL_HOT void ForEachJoinedInterval(const Histogram& h1,
+                                       const Histogram& h2, Visit&& visit) {
+  Boundaries a(h1);
+  Boundaries b(h2);
+  // Once either side is past its last bucket no interval can join.
+  while (!a.done() && !b.done()) {
+    const Cut lo = Before(b.head(), a.head()) ? b.head() : a.head();
+    a.SkipPast(lo);
+    b.SkipPast(lo);
+    if (!a.inside() || !b.inside()) continue;
+    // Inside a bucket, each side's head is that bucket's end.
+    const Cut next = Before(b.head(), a.head()) ? b.head() : a.head();
+    const int64_t hi = next.open ? kMaxValue : next.value - 1;
+    const Bucket& x = a.bucket();
+    const Bucket& y = b.bucket();
+    const double width = SpanWidth(lo.value, hi);
+    const double fx = width / SpanWidth(x.lo, x.hi);
+    const double fy = width / SpanWidth(y.lo, y.hi);
+    const double f1 = x.frequency * fx;
+    const double d1 = x.distinct * fx;
+    const double f2 = y.frequency * fy;
+    const double d2 = y.distinct * fy;
+    const double dmax = std::max(d1, d2);
+    if (dmax <= 0.0 || f1 <= 0.0 || f2 <= 0.0) continue;
+    visit(lo.value, hi, f1 * f2 / dmax, std::min(d1, d2));
+  }
 }
 
 }  // namespace
 
-JoinEstimate JoinHistograms(const Histogram& h1, const Histogram& h2) {
-  JoinEstimate out;
-  if (h1.empty() || h2.empty()) {
-    out.result = Histogram({}, 0.0);
-    return out;
-  }
-
-  // Collect the union of bucket boundaries; aligned intervals are the
-  // half-open spans between consecutive cut points. Using value cut points
-  // [lo, hi] inclusive: interval k is [cuts[k], cuts[k+1] - 1].
-  std::vector<int64_t> cuts;
-  for (const Histogram* h : {&h1, &h2}) {
-    for (const Bucket& b : h->buckets()) {
-      cuts.push_back(b.lo);
-      cuts.push_back(b.hi + 1);  // exclusive end
-    }
-  }
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-
-  std::vector<Bucket> result_buckets;
+CONDSEL_HOT double JoinSelectivity(const Histogram& h1, const Histogram& h2) {
   double sel = 0.0;
-  size_t i1 = 0, i2 = 0;
-  for (size_t k = 0; k + 1 < cuts.size(); ++k) {
-    const int64_t lo = cuts[k];
-    const int64_t hi = cuts[k + 1] - 1;
-    // Advance bucket cursors (buckets are sorted).
-    while (i1 < h1.num_buckets() && h1.buckets()[i1].hi < lo) ++i1;
-    while (i2 < h2.num_buckets() && h2.buckets()[i2].hi < lo) ++i2;
-    if (i1 >= h1.num_buckets() || i2 >= h2.num_buckets()) break;
-    const Bucket& b1 = h1.buckets()[i1];
-    const Bucket& b2 = h2.buckets()[i2];
-    if (b1.lo > hi || b2.lo > hi) continue;
+  ForEachJoinedInterval(h1, h2, [&sel](int64_t, int64_t, double contrib,
+                                       double) { sel += contrib; });
+  return SanitizeSelectivity(sel);
+}
 
-    const Slice s1 = SliceBucket(b1, lo, hi);
-    const Slice s2 = SliceBucket(b2, lo, hi);
-    const double dmax = std::max(s1.distinct, s2.distinct);
-    if (dmax <= 0.0 || s1.frequency <= 0.0 || s2.frequency <= 0.0) continue;
-    const double contrib = s1.frequency * s2.frequency / dmax;
-    sel += contrib;
+JoinEstimate JoinHistograms(const Histogram& h1, const Histogram& h2) {
+  // An interval carrying mass lies inside a bucket of each side and ends
+  // where one of those two buckets ends, so there are at most n1 + n2.
+  std::vector<Bucket> result_buckets;
+  result_buckets.reserve(h1.num_buckets() + h2.num_buckets());
+  double sel = 0.0;
+  ForEachJoinedInterval(
+      h1, h2,
+      [&](int64_t lo, int64_t hi, double contrib, double distinct) {
+        sel += contrib;
+        // Frequency normalized below.
+        result_buckets.push_back({lo, hi, contrib, distinct});
+      });
 
-    Bucket rb;
-    rb.lo = lo;
-    rb.hi = hi;
-    rb.frequency = contrib;  // normalized below
-    rb.distinct = std::min(s1.distinct, s2.distinct);
-    result_buckets.push_back(rb);
-  }
-
+  JoinEstimate out;
   out.selectivity = SanitizeSelectivity(sel);
   if (sel > 0.0) {
     for (Bucket& b : result_buckets) b.frequency /= sel;

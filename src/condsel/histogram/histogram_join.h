@@ -9,6 +9,28 @@
 // interval, applies the containment/uniform-distinct assumption:
 //   sel += f1' * f2' / max(d1', d2')
 // where primes denote the fraction of the bucket falling in the interval.
+//
+// Alignment is one merge walk over the two sorted bucket lists, with no
+// scratch storage. Each histogram's boundary sequence
+//   lo0, hi0 + 1, lo1, hi1 + 1, ...
+// is non-decreasing (buckets are sorted and disjoint; adjacent buckets
+// repeat a value), so merging the two sequences and dropping duplicates
+// yields the sorted union of all cut points. Consecutive cuts c < c'
+// bound the aligned interval [c, c' - 1], which lies wholly inside one
+// bucket or wholly in a gap of each histogram: inside a bucket exactly
+// when an odd number of that histogram's boundaries are <= c. The walk
+// visits the intervals in ascending order, so the sum above adds its
+// terms in a fixed order, and JoinSelectivity and JoinHistograms agree
+// bit for bit. tests/histogram_join_test.cc checks both against a
+// reference that sorts every cut point into a vector.
+//
+// Open-ended intervals: a bucket with hi == INT64_MAX has no finite end
+// (hi + 1 is not representable). Its end is an "open" cut ordered after
+// every finite value, which closes a final interval [c, INT64_MAX] — the
+// same explicitly open-ended last segment MergeHistograms uses — so the
+// tail's mass is joined like any other interval's. Interval and bucket
+// widths are computed with histogram_internal::SpanWidth, which stays
+// exact and overflow-free for spans of 2^63 and more.
 
 #pragma once
 
@@ -26,7 +48,13 @@ struct JoinEstimate {
   Histogram result;
 };
 
+// The full join: selectivity plus the result histogram (Example 3's
+// join-then-filter shape needs the latter).
 JoinEstimate JoinHistograms(const Histogram& h1, const Histogram& h2);
 
-}  // namespace condsel
+// Selectivity-only join, bit-identical to JoinHistograms(h1, h2)
+// .selectivity. Makes no heap allocation: the estimation hot path uses it
+// whenever the result histogram would be discarded.
+double JoinSelectivity(const Histogram& h1, const Histogram& h2);
 
+}  // namespace condsel

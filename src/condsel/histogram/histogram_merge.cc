@@ -6,22 +6,13 @@
 #include <set>
 
 #include "condsel/common/macros.h"
+#include "condsel/histogram/internal.h"
 
 namespace condsel {
 
 namespace {
 
-// Exact integer width of [lo, hi] as a double. Computed through uint64
-// subtraction: the difference is exact for spans below 2^53 and only then
-// rounded once, unlike casting each endpoint to double first, which loses
-// up to 1024 near ±2^63 (doubles there are 1024 apart) — enough to make an
-// open-ended bucket's width off by a whole kilo-range and overlap
-// fractions sum past 1.
-double SpanWidth(int64_t lo, int64_t hi) {
-  return static_cast<double>(static_cast<uint64_t>(hi) -
-                             static_cast<uint64_t>(lo)) +
-         1.0;
-}
+using histogram_internal::SpanWidth;
 
 // Coalesces `buckets` down to at most `max_buckets` by merging runs of
 // adjacent buckets. Even-count runs keep the pass deterministic and cheap;

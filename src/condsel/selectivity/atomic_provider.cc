@@ -337,10 +337,17 @@ CONDSEL_HOT double AtomicSelectivityProvider::EstimateWith(
   // pair's result histogram (Example 3), which keeps the filter factor
   // aligned with the piece pair it restricts. An unpartitioned side is a
   // single pseudo-piece of weight 1.0, so the unpartitioned ×
-  // unpartitioned case reproduces the legacy computation exactly.
+  // unpartitioned case reproduces the legacy computation exactly. Without
+  // filters only the pair selectivity is read, so the allocation-free
+  // JoinSelectivity (bit-identical to JoinHistograms' selectivity) skips
+  // building the result histogram.
   double sel = 0.0;
   ForEachPiece(s0, [&](const Histogram& h0, double w0) {
     ForEachPiece(s1, [&](const Histogram& h1, double w1) {
+      if (num_filters == 0) {
+        sel += w0 * w1 * JoinSelectivity(h0, h1);
+        return;
+      }
       const JoinEstimate je = JoinHistograms(h0, h1);
       double pair_sel = je.selectivity;
       for (int k = 0; k < num_filters; ++k) {

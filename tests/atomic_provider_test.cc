@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "condsel/common/numeric.h"
+#include "condsel/common/rng.h"
+#include "condsel/histogram/builders.h"
+#include "condsel/histogram/histogram_join.h"
+#include "condsel/histogram/histogram_merge.h"
 #include "condsel/selectivity/atomic_provider.h"
 #include "condsel/sit/sit_builder.h"
 #include "test_util.h"
@@ -15,6 +24,8 @@ ColumnRef Sy() { return {1, 0}; }
 ColumnRef Sb() { return {1, 1}; }
 ColumnRef Tz() { return {2, 0}; }
 ColumnRef Tc() { return {2, 1}; }
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
 
 class FactorApproxTest : public ::testing::Test {
  protected:
@@ -41,6 +52,38 @@ class FactorApproxTest : public ::testing::Test {
   void AddJoinSit() {
     pool_.Add(builder_.Build(Ra(), {query_.predicate(1)}));
     matcher_.BindQuery(&query_);
+  }
+
+  // Base SITs over R.x (split into three parts of different sizes) and
+  // S.y (one flat histogram), built from seeded random columns. Returns
+  // the R.x pieces.
+  std::vector<Histogram> UsePartitionedJoinPool() {
+    Rng rng(97);
+    std::vector<Histogram> pieces;
+    Sit rx;
+    rx.attr = Rx();
+    for (int part = 0; part < 3; ++part) {
+      std::vector<int64_t> values(200 + 150 * part);
+      for (auto& v : values) v = rng.NextInRange(5 * part, 60 + 20 * part);
+      SitPart piece;
+      piece.part = part;
+      piece.generation = 1;
+      piece.histogram = BuildMaxDiff(
+          values, static_cast<double>(values.size()), 12 + 4 * part);
+      pieces.push_back(piece.histogram);
+      rx.parts.push_back(std::move(piece));
+    }
+    std::vector<const Histogram*> ptrs;
+    for (const Histogram& h : pieces) ptrs.push_back(&h);
+    rx.histogram = MergeHistograms(ptrs, 64);
+    std::vector<int64_t> ys(900);
+    for (auto& v : ys) v = rng.NextInRange(0, 90);
+    Sit sy;
+    sy.attr = Sy();
+    sy.histogram = BuildEquiDepth(ys, 1000.0, 20);
+    pool_.Add(std::move(rx));
+    pool_.Add(std::move(sy));
+    return pieces;
   }
 
   Catalog catalog_;
@@ -167,6 +210,65 @@ TEST_F(FactorApproxTest, JoinPlusFilterEstimate) {
   // Histogram join result distribution is exact per-value here; accept
   // small slack from sub-bucket alignment.
   EXPECT_NEAR(est, exact, 0.02);
+  // One flat pair of weight 1.0: exactly the materialized join's
+  // selectivity times its result histogram's range selectivity.
+  const JoinEstimate je = JoinHistograms(c.sits[0].sit->histogram,
+                                         c.sits[1].sit->histogram);
+  const double pair_sel =
+      je.selectivity * je.result.RangeSelectivity(10, 20);
+  EXPECT_EQ(Bits(est), Bits(SanitizeSelectivity(pair_sel)));
+}
+
+TEST_F(FactorApproxTest, PartitionedJoinIsWeightedSumOfPairJoins) {
+  // |R ⋈ S| = Σ_p |R_p ⋈ S|: a partitioned × unpartitioned join factor
+  // is the cardinality-weighted sum of the per-piece joins, added in part
+  // order — bit for bit, though the provider's filter-free path uses the
+  // selectivity-only kernel and this reference materializes every join.
+  const std::vector<Histogram> pieces = UsePartitionedJoinPool();
+  const Query q({Predicate::Join(Rx(), Sy())});
+  matcher_.BindQuery(&q);
+  AtomicSelectivityProvider fa(&matcher_, &n_ind_);
+  const FactorChoice c = fa.Score(q, 0b1, 0);
+  ASSERT_TRUE(c.feasible);
+  ASSERT_EQ(c.sits.size(), 2u);
+  const Histogram& hy = pool_.FindBase(Sy())->histogram;
+  double total = 0.0;
+  for (const Histogram& h : pieces) total += h.source_cardinality();
+  double expected = 0.0;
+  for (const Histogram& h : pieces) {
+    const double w = h.source_cardinality() / total;
+    expected += w * 1.0 * JoinHistograms(h, hy).selectivity;
+  }
+  EXPECT_GT(expected, 0.0);
+  EXPECT_EQ(Bits(fa.Estimate(q, 0b1, c)),
+            Bits(SanitizeSelectivity(expected)));
+}
+
+TEST_F(FactorApproxTest, JoinPlusFilterUsesMaterializedJoinResult) {
+  // Example 3's shape: the filter over the join column is estimated on
+  // each pair's join-result histogram, so this path keeps materializing
+  // the join (JoinHistograms), per piece pair.
+  const std::vector<Histogram> pieces = UsePartitionedJoinPool();
+  const Query q({Predicate::Join(Rx(), Sy()),
+                 Predicate::Filter(Rx(), 10, 30)});
+  matcher_.BindQuery(&q);
+  AtomicSelectivityProvider fa(&matcher_, &n_ind_);
+  const FactorChoice c = fa.Score(q, 0b11, 0);
+  ASSERT_TRUE(c.feasible);
+  const Histogram& hy = pool_.FindBase(Sy())->histogram;
+  double total = 0.0;
+  for (const Histogram& h : pieces) total += h.source_cardinality();
+  double expected = 0.0;
+  for (const Histogram& h : pieces) {
+    const double w = h.source_cardinality() / total;
+    const JoinEstimate je = JoinHistograms(h, hy);
+    expected += w * 1.0 *
+                (je.selectivity * je.result.RangeSelectivity(10, 30));
+  }
+  const double est = fa.Estimate(q, 0b11, c);
+  EXPECT_EQ(Bits(est), Bits(SanitizeSelectivity(expected)));
+  // The filter matters: the estimate is not the bare join selectivity.
+  EXPECT_LT(est, fa.Estimate(q, 0b1, fa.Score(q, 0b1, 0)));
 }
 
 }  // namespace

@@ -117,7 +117,10 @@ TEST(SnowflakeTest, FkSkewProducesJoinMultiplicitySkew) {
   const Catalog c = BuildSnowflake(opt);
   const Table& fact = c.table(c.FindTable("fact"));
   std::map<int64_t, int> counts;
-  for (int64_t v : fact.MaterializeColumn(0).values()) ++counts[v];
+  // Bind the column: a range-for over a temporary's member would iterate
+  // a destroyed vector.
+  const Column fk = fact.MaterializeColumn(0);
+  for (int64_t v : fk.values()) ++counts[v];
   // Dimension row 0 must be referenced far more often than the median row.
   const Table& dim1 = c.table(c.FindTable("dim1"));
   const int64_t mid = static_cast<int64_t>(dim1.num_rows() / 2);
@@ -167,7 +170,8 @@ TEST(TpchLiteTest, NationSkew) {
   const Table& cust = c.table(c.FindTable("customer"));
   const ColumnId nation = cust.schema().FindColumn("c_nation");
   size_t usa = 0;
-  for (int64_t v : cust.MaterializeColumn(nation).values()) usa += (v == 0);
+  const Column nations = cust.MaterializeColumn(nation);
+  for (int64_t v : nations.values()) usa += (v == 0);
   EXPECT_NEAR(static_cast<double>(usa) / static_cast<double>(cust.num_rows()),
               0.7, 0.05);
 }

@@ -471,7 +471,8 @@ def check_deadline_flow(model: FlowModel) -> list[Finding]:
 TAINT_SOURCE_RE = re.compile(
     r"(?:->|\.)\s*(?:Estimate|EstimateWith|EstimateFilterWith|Score)\s*\(|"
     r"\bRangeSelectivity\s*\(|\bEqualsSelectivity\s*\(|"
-    r"\bJoinHistograms\s*\(|(?:\.|->)\s*selectivity\b")
+    r"\bJoinHistograms\s*\(|\bJoinSelectivity\s*\(|"
+    r"(?:\.|->)\s*selectivity\b")
 SANITIZE_WRAP_RE = re.compile(
     r"^\s*(?:::)?(?:condsel::)?Sanitize(?:Selectivity|Cardinality)\s*\(")
 SINK_FIELD_RE = re.compile(

@@ -65,7 +65,9 @@ comment on the same or the preceding line):
                         estimator code (src/condsel/{selectivity,baselines,
                         optimizer}/) must not call the histogram selectivity
                         accessors (RangeSelectivity / EqualsSelectivity),
-                        read a SIT's per-part piece vector (`sit.parts`),
+                        the histogram joins (JoinHistograms /
+                        JoinSelectivity), read a SIT's per-part piece
+                        vector (`sit.parts`),
                         or touch PartStatsSet/PartStatsEntry directly —
                         AtomicSelectivityProvider
                         (selectivity/atomic_provider.cc, the one exempt
@@ -317,6 +319,9 @@ def check_guarded_by(path: str, text: str, lines: list[str]) -> list[Finding]:
 
 RAW_HISTOGRAM_RE = re.compile(
     r"(?:\.|->)\s*(RangeSelectivity|EqualsSelectivity)\s*\(")
+# Free functions of histogram/histogram_join.h: a join outside the
+# provider would skip the per-piece-pair merge and sanitization.
+RAW_HISTOGRAM_JOIN_RE = re.compile(r"\b(JoinHistograms|JoinSelectivity)\s*\(")
 # Partitioned statistics: a Sit's per-part piece vector and the stored
 # PartStatsSet/PartStatsEntry containers. Estimator code reading these
 # directly would re-implement the cardinality-weighted merge (and skip
@@ -344,6 +349,11 @@ def check_raw_histogram_lookup(path: str, text: str,
                 f"estimator code calls Histogram::{m.group(1)} directly; "
                 "route the lookup through AtomicSelectivityProvider so "
                 "sanitization, fault hooks, and provenance apply")
+        elif (j := RAW_HISTOGRAM_JOIN_RE.search(code)):
+            part_reason = (
+                f"estimator code calls {j.group(1)} directly; histogram "
+                "joins go through AtomicSelectivityProvider, which joins "
+                "per piece pair, sanitizes, and records provenance")
         elif RAW_PART_PIECES_RE.search(code):
             part_reason = (
                 "estimator code reads a SIT's per-part pieces directly; "
