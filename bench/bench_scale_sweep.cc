@@ -2,106 +2,17 @@
 // data scale (our substitution for the paper's full-size testbed runs at
 // a reduced default scale; see DESIGN.md). Runs the Figure 7 core —
 // noSit vs GVM vs GS-Diff at J0 and J2 — at three scales and reports the
-// improvement ratios, which should stay in the same band.
-//
-// The largest configuration additionally times the parallel
-// getSelectivity driver (EstimationBudget::threads) against the
-// sequential recursion over every optimizer sub-plan, checks the
-// estimates are bit-identical, and reports the speedup. Everything is
+// improvement ratios, which should stay in the same band. Everything is
 // written to BENCH_scale_sweep.json so CI can track the perf trajectory.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "condsel/harness/metrics.h"
-#include "condsel/selectivity/error_function.h"
-#include "condsel/selectivity/get_selectivity.h"
-#include "condsel/sit/sit_matcher.h"
 
 using namespace condsel;        // NOLINT: bench brevity
 using namespace condsel::bench; // NOLINT: bench brevity
-
-namespace {
-
-std::string Hex(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-struct ThreadedRun {
-  double seconds = 0.0;               // best-of-repetition wall time
-  std::vector<std::string> estimates; // hexfloat transcript, all sub-plans
-  Json per_query = Json::Array();     // wall time + subproblems + estimate
-  // Work-stealing scheduler totals over the final repetition (zero on the
-  // sequential run): how much the in-level scheduler had to rebalance.
-  uint64_t steals = 0;
-  uint64_t stolen_subsets = 0;
-  uint64_t parallel_levels = 0;
-  uint64_t max_level_width = 0;
-};
-
-// Times GS-Diff with the given thread count over every sub-plan of every
-// workload query. Timing is best-of-`reps`; the transcript and per-query
-// stats come from the final repetition (they are deterministic anyway).
-ThreadedRun RunThreaded(const std::vector<Query>& workload,
-                        const SitPool& pool, int threads, int reps) {
-  DiffError diff;
-  EstimationBudget budget;
-  budget.threads = threads;
-  ThreadedRun run;
-  run.seconds = 1e100;
-  for (int rep = 0; rep < reps; ++rep) {
-    run.estimates.clear();
-    run.per_query = Json::Array();
-    run.steals = run.stolen_subsets = 0;
-    run.parallel_levels = run.max_level_width = 0;
-    double total = 0.0;
-    for (const Query& q : workload) {
-      SitMatcher matcher(&pool);
-      matcher.BindQuery(&q);
-      AtomicSelectivityProvider provider(&matcher, &diff);
-      GetSelectivity gs(&q, &provider, &budget);
-      const auto start = std::chrono::steady_clock::now();
-      // Root request first — the optimizer's whole-query estimate solves
-      // the full reachable lattice in one session (one parallel batch);
-      // the sub-plan requests below are then memo-served, exactly as a
-      // DP join enumerator consuming the shared memo would see them.
-      SelEstimate full = gs.Compute(q.all_predicates());
-      for (PredSet p : SubPlanFamily(q)) {
-        full = gs.Compute(p);
-        run.estimates.push_back(Hex(full.selectivity) + " " +
-                                Hex(full.error));
-      }
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      total += seconds;
-      const GsStats& stats = gs.stats();
-      run.steals += stats.steals;
-      run.stolen_subsets += stats.stolen_subsets;
-      run.parallel_levels += stats.parallel_levels;
-      run.max_level_width =
-          std::max(run.max_level_width, stats.max_level_width);
-      run.per_query.Push(Json::Object()
-                             .Set("seconds", seconds)
-                             .Set("subproblems", stats.subproblems)
-                             .Set("estimate", full.selectivity)
-                             .Set("steals", stats.steals)
-                             .Set("stolen_subsets", stats.stolen_subsets));
-    }
-    run.seconds = std::min(run.seconds, total);
-  }
-  return run;
-}
-
-}  // namespace
 
 int main() {
   std::printf("scale sweep: error ratios vs noSit (4-way joins)\n\n");
@@ -170,79 +81,10 @@ int main() {
   }
   PrintTable(header, rows);
 
-  // Parallel driver on the largest configuration: a wider join graph,
-  // deeper pool, and finer histograms than the sweep rows, so candidate
-  // scoring — the work the level-parallel driver spreads across its
-  // workers — dominates the subset lattice's bookkeeping.
-  std::printf("\nparallel getSelectivity, largest configuration\n\n");
-  Json parallel = Json::Object();
-  {
-    SnowflakeOptions opt;
-    opt.scale = sweep.back();
-    const Catalog catalog = BuildSnowflake(opt);
-    CardinalityCache cache;
-    Evaluator evaluator(&catalog, &cache);
-    WorkloadOptions wopt;
-    wopt.num_queries = EnvInt("CONDSEL_QUERIES", 10);
-    wopt.num_joins = 7;
-    wopt.num_filters = 4;
-    const std::vector<Query> workload =
-        GenerateWorkload(catalog, &evaluator, wopt);
-    SitBuildOptions bopt;
-    bopt.max_buckets = 2000;
-    SitBuilder builder(&evaluator, bopt);
-    const SitPool pool = GenerateSitPool(workload, 4, builder);
-
-    const int reps = EnvInt("CONDSEL_REPS", 3);
-    const uint64_t seq_alloc0 = AllocCount();
-    const ThreadedRun seq = RunThreaded(workload, pool, /*threads=*/1, reps);
-    const uint64_t par_alloc0 = AllocCount();
-    const ThreadedRun par = RunThreaded(workload, pool, /*threads=*/4, reps);
-    const double runs = static_cast<double>(workload.size()) *
-                        static_cast<double>(reps);
-    const double seq_allocs =
-        static_cast<double>(par_alloc0 - seq_alloc0) / runs;
-    const double par_allocs =
-        static_cast<double>(AllocCount() - par_alloc0) / runs;
-    const bool identical = seq.estimates == par.estimates;
-    const double speedup = seq.seconds / std::max(1e-12, par.seconds);
-    const unsigned cores = std::thread::hardware_concurrency();
-    std::printf("  threads=1: %.3f ms   threads=4: %.3f ms   "
-                "speedup: %.2fx   estimates %s   (%u core(s))\n",
-                seq.seconds * 1e3, par.seconds * 1e3, speedup,
-                identical ? "bit-identical" : "DIVERGED", cores);
-    if (cores < 4) {
-      std::printf("  note: fewer than 4 hardware cores — threads "
-                  "time-slice, so the speedup target applies only on "
-                  "multi-core hosts (bit-identity is checked anywhere)\n");
-    }
-    parallel.Set("num_joins", 7)
-        .Set("num_filters", 4)
-        .Set("scale", sweep.back())
-        .Set("hardware_cores", static_cast<uint64_t>(cores))
-        .Set("threads_1_seconds", seq.seconds)
-        .Set("threads_4_seconds", par.seconds)
-        .Set("threads_1_allocs_per_estimate", seq_allocs)
-        .Set("threads_4_allocs_per_estimate", par_allocs)
-        .Set("speedup", speedup)
-        .Set("bit_identical", identical)
-        .Set("threads_4_steals", par.steals)
-        .Set("threads_4_stolen_subsets", par.stolen_subsets)
-        .Set("threads_4_parallel_levels", par.parallel_levels)
-        .Set("threads_4_max_level_width", par.max_level_width)
-        .Set("threads_1_per_query", seq.per_query)
-        .Set("threads_4_per_query", par.per_query);
-    if (!identical) {
-      std::fprintf(stderr, "parallel estimates diverged from sequential\n");
-      return 1;
-    }
-  }
-
   WriteBenchJson("BENCH_scale_sweep.json",
                  Json::Object()
                      .Set("bench", "scale_sweep")
-                     .Set("scales", std::move(scales))
-                     .Set("parallel", std::move(parallel)));
+                     .Set("scales", std::move(scales)));
   std::printf(
       "\nExpected shape: absolute errors grow with scale while the\n"
       "improvement ratios hold or get *stronger* (skew effects compound\n"

@@ -5,8 +5,8 @@
 // acquire a mutex whose (rank, address) pair is lexicographically greater
 // than that of the last mutex it already holds — lower ranks are outer,
 // higher ranks are inner. Two mutexes share a rank only when they are
-// instances of the same multi-instance family (e.g. the parallel driver's
-// per-worker deque locks), in which case address order disambiguates.
+// instances of the same multi-instance family (declared `pair` in the
+// manifest), in which case address order disambiguates.
 //
 // This table is mirrored by tools/lock_order.toml; tools/condsel_model.py
 // fails the build if the two drift apart or if any acquisition edge in
@@ -49,13 +49,6 @@ inline constexpr int kCardinalityCache = 80;
 // the registry's so a future nested acquisition would still be ordered.
 inline constexpr int kShapeCache = 84;
 inline constexpr int kShapeEntry = 86;
-// selectivity/: SIT memo (reader/writer).
-inline constexpr int kSelectivityMemo = 90;
-// selectivity/ parallel driver: per-worker deque locks; one rank for the
-// whole family, steal_batch orders the pair by address.
-inline constexpr int kWorkerDeque = 100;
-// selectivity/ parallel driver: first-error slot.
-inline constexpr int kParallelError = 110;
 // common/: fault injector registry; leaf — nothing is acquired under it.
 inline constexpr int kFaultInjector = 120;
 

@@ -28,13 +28,14 @@
 //
 // Thread-safety: the provider is stateless apart from borrowed pointers;
 // after the matcher is bound to a query, Score/Estimate may be called
-// concurrently from the parallel DP's workers (the matcher's call counter
-// is atomic; its applicability index is read-only once bound). Deadlines
-// are per-call arguments, never provider state: estimators sharing one
-// provider each pass their own Deadline to Score, so concurrent searches
-// cannot clobber each other's clock and an estimator destroyed mid-flight
-// cannot leave a dangling deadline behind (the old set_deadline slot did
-// both; condsel_lint's raw-set-deadline rule keeps it from coming back).
+// concurrently by estimators sharing the provider (the matcher's call
+// counter is atomic; its applicability index is read-only once bound).
+// Deadlines are per-call arguments, never provider state: estimators
+// sharing one provider each pass their own Deadline to Score, so
+// concurrent searches cannot clobber each other's clock and an estimator
+// destroyed mid-flight cannot leave a dangling deadline behind (the old
+// set_deadline slot did both; condsel_lint's raw-set-deadline rule keeps
+// it from coming back).
 
 #pragma once
 
@@ -63,8 +64,8 @@ struct FactorChoice {
 
 // Reusable candidate-list scratch for Score(): the vectors are cleared
 // and refilled per call, retaining their capacity, so a warmed-up driver
-// scores factors without allocating. One instance per scoring thread —
-// the drivers own one per worker; never share an instance concurrently.
+// scores factors without allocating. Each GetSelectivity owns one; never
+// share an instance between threads.
 struct ScoreScratch {
   std::vector<SitCandidate> left;
   std::vector<SitCandidate> right;

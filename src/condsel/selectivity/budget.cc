@@ -1,7 +1,6 @@
 #include "condsel/selectivity/budget.h"
 
 #include <algorithm>
-#include <cstddef>
 
 #include "condsel/common/fault_injector.h"
 
@@ -33,37 +32,15 @@ bool Deadline::Expired() const {
   return std::chrono::steady_clock::now() >= at;
 }
 
-void BudgetCounters::Add(GsStats* out) const {
-  out->subproblems = subproblems.load(std::memory_order_relaxed);
-  out->memo_hits = memo_hits.load(std::memory_order_relaxed);
-  out->atomic_considered = atomic_considered.load(std::memory_order_relaxed);
-  out->degraded_subproblems =
-      degraded_subproblems.load(std::memory_order_relaxed);
-  out->default_fallbacks = default_fallbacks.load(std::memory_order_relaxed);
-  out->shape_cache_hits = shape_cache_hits.load(std::memory_order_relaxed);
-  out->shape_cache_misses =
-      shape_cache_misses.load(std::memory_order_relaxed);
-  out->budget_exhausted = budget_exhausted.load(std::memory_order_relaxed);
-  out->analysis_seconds = analysis_seconds.load(std::memory_order_relaxed);
-  out->histogram_seconds = histogram_seconds.load(std::memory_order_relaxed);
-  out->steals = steals.load(std::memory_order_relaxed);
-  out->stolen_subsets = stolen_subsets.load(std::memory_order_relaxed);
-  out->parallel_levels = parallel_levels.load(std::memory_order_relaxed);
-  out->max_level_width = max_level_width.load(std::memory_order_relaxed);
-}
-
-bool BudgetExhausted(const EstimationBudget* budget,
-                     const BudgetCounters& counters,
+bool BudgetExhausted(const EstimationBudget* budget, const GsStats& stats,
                      const Deadline& deadline) {
   if (budget == nullptr) return false;
   if (budget->max_subproblems > 0 &&
-      counters.subproblems.load(std::memory_order_relaxed) >=
-          budget->max_subproblems) {
+      stats.subproblems >= budget->max_subproblems) {
     return true;
   }
   if (budget->max_atomic_decompositions > 0 &&
-      counters.atomic_considered.load(std::memory_order_relaxed) >=
-          budget->max_atomic_decompositions) {
+      stats.atomic_considered >= budget->max_atomic_decompositions) {
     return true;
   }
   return deadline.Expired();
@@ -80,14 +57,6 @@ void AddGsStats(const GsStats& delta, GsStats* total) {
   total->default_fallbacks += delta.default_fallbacks;
   total->shape_cache_hits += delta.shape_cache_hits;
   total->shape_cache_misses += delta.shape_cache_misses;
-  total->steals += delta.steals;
-  total->stolen_subsets += delta.stolen_subsets;
-  total->parallel_levels += delta.parallel_levels;
-  total->max_level_width =
-      std::max(total->max_level_width, delta.max_level_width);
-  total->level_stats.insert(total->level_stats.end(),
-                            delta.level_stats.begin(),
-                            delta.level_stats.end());
 }
 
 namespace {
@@ -115,18 +84,6 @@ GsStats DiffGsStats(const GsStats& cumulative, const GsStats& prev) {
       SatSub(cumulative.shape_cache_hits, prev.shape_cache_hits);
   d.shape_cache_misses =
       SatSub(cumulative.shape_cache_misses, prev.shape_cache_misses);
-  d.steals = SatSub(cumulative.steals, prev.steals);
-  d.stolen_subsets = SatSub(cumulative.stolen_subsets, prev.stolen_subsets);
-  d.parallel_levels = SatSub(cumulative.parallel_levels, prev.parallel_levels);
-  d.max_level_width = cumulative.max_level_width;
-  // level_stats only grows by whole appended batches; the delta is the
-  // suffix past what `prev` had already seen.
-  if (cumulative.level_stats.size() > prev.level_stats.size()) {
-    d.level_stats.assign(
-        cumulative.level_stats.begin() +
-            static_cast<std::ptrdiff_t>(prev.level_stats.size()),
-        cumulative.level_stats.end());
-  }
   return d;
 }
 

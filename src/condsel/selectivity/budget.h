@@ -2,17 +2,16 @@
 //
 // EstimationBudget is the user-facing knob set (moved here from
 // get_selectivity.h, which re-exports it for include compatibility). The
-// helper classes make the knobs enforceable from concurrent search
-// drivers:
+// helper classes make the knobs enforceable:
 //   - Deadline: an armed wall-clock point, checkable lock-free from any
 //     thread (and from inside the provider's candidate loops, so a slow
 //     statistics lookup cannot overshoot the deadline by a whole
 //     subproblem), safely re-armable while readers run;
 //   - ScopedDeadline: RAII arm/disarm, so no early return or exception
 //     can leave a deadline armed past the call it was meant to bound;
-//   - BudgetCounters: the search's cumulative counters as atomics, so the
-//     parallel getSelectivity driver's budget checks are race-free and the
-//     sequential driver pays only uncontended relaxed increments.
+//   - BudgetExhausted: the count caps checked against a search's plain
+//     GsStats counters (a GetSelectivity is used by one thread), plus the
+//     deadline.
 //
 // Deadlines are per-call state: the driver owning a Compute() call arms
 // its own Deadline and passes it down explicitly (Score's deadline
@@ -27,7 +26,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 namespace condsel {
 
@@ -39,11 +37,6 @@ struct EstimationBudget {
   uint64_t max_subproblems = 0;            // memo entries computed
   uint64_t max_atomic_decompositions = 0;  // atomic decompositions scored
   double deadline_seconds = 0.0;           // wall clock per Compute() call
-  // Worker threads for the getSelectivity DP (1 = the sequential driver).
-  // Estimates are bit-identical across thread counts on budget-free runs;
-  // with caps or deadlines armed, *which* subsets degrade may differ by
-  // schedule (each answer is still a valid graceful degradation).
-  int threads = 1;
 
   bool unlimited() const {
     return max_subproblems == 0 && max_atomic_decompositions == 0 &&
@@ -51,22 +44,8 @@ struct EstimationBudget {
   }
 };
 
-// One popcount level of one parallel getSelectivity batch, as the
-// work-stealing scheduler saw it. `width` is static lattice shape;
-// `max_solved_by_one_worker` against width/threads shows how unbalanced
-// the level's per-subset costs were, and the steal counters show how much
-// work had to be redistributed to absorb it (what the old per-level
-// barrier used to pay for in idle waiting).
-struct GsLevelStats {
-  int level = 0;                         // subset size (popcount)
-  uint64_t width = 0;                    // subsets in the level
-  uint64_t steals = 0;                   // successful steal operations
-  uint64_t stolen_subsets = 0;           // subsets that changed workers
-  uint64_t max_solved_by_one_worker = 0; // busiest worker's solve count
-};
-
 // Statistics getSelectivity reports about one search (Figure 8's timing
-// split plus robustness and scheduler accounting).
+// split plus robustness accounting).
 struct GsStats {
   uint64_t subproblems = 0;         // memo entries computed by the search
                                     // (degraded entries excluded)
@@ -80,19 +59,10 @@ struct GsStats {
   uint64_t default_fallbacks = 0;      // predicates with no base histogram
   // Shape-keyed decomposition cache (shape_cache.h); both zero when no
   // cache is attached. Warmth-dependent (a later session inherits the
-  // lists an earlier one stored), so excluded from the driver parity
-  // contract — a hit and a miss yield bit-identical candidate lists.
+  // lists an earlier one stored) — a hit and a miss yield bit-identical
+  // candidate lists.
   uint64_t shape_cache_hits = 0;     // subsets whose candidates were copied
   uint64_t shape_cache_misses = 0;   // subsets enumerated from scratch
-  // Work-stealing scheduler accounting (parallel driver only; the
-  // sequential driver and inline small-plan runs report zeros). These are
-  // schedule-dependent — excluded from the sequential-vs-parallel parity
-  // contract that covers every counter above.
-  uint64_t steals = 0;             // successful steal operations
-  uint64_t stolen_subsets = 0;     // subsets solved by a thief
-  uint64_t parallel_levels = 0;    // popcount levels run on the pool
-  uint64_t max_level_width = 0;    // widest level of any batch
-  std::vector<GsLevelStats> level_stats;  // per level, cumulative
 };
 
 // An armed wall-clock deadline.
@@ -140,42 +110,16 @@ class ScopedDeadline {
   Deadline* deadline_;
 };
 
-// The budget-relevant counters of a search, shared between drivers and
-// safe to bump from worker threads. Mirrored into GsStats via Add()
-// (GsStats::level_stats is driver-owned and merged separately).
-struct BudgetCounters {
-  std::atomic<uint64_t> subproblems{0};
-  std::atomic<uint64_t> memo_hits{0};
-  std::atomic<uint64_t> atomic_considered{0};
-  std::atomic<uint64_t> degraded_subproblems{0};
-  std::atomic<uint64_t> default_fallbacks{0};
-  std::atomic<uint64_t> shape_cache_hits{0};
-  std::atomic<uint64_t> shape_cache_misses{0};
-  std::atomic<bool> budget_exhausted{false};
-  std::atomic<double> analysis_seconds{0.0};
-  std::atomic<double> histogram_seconds{0.0};
-  // Work-stealing scheduler accounting (see GsStats).
-  std::atomic<uint64_t> steals{0};
-  std::atomic<uint64_t> stolen_subsets{0};
-  std::atomic<uint64_t> parallel_levels{0};
-  std::atomic<uint64_t> max_level_width{0};
-
-  void Add(GsStats* out) const;
-};
-
 // True when any knob of `budget` has run out. `budget` may be null
-// (unlimited). Race-free against concurrent counter increments.
-bool BudgetExhausted(const EstimationBudget* budget,
-                     const BudgetCounters& counters,
+// (unlimited).
+bool BudgetExhausted(const EstimationBudget* budget, const GsStats& stats,
                      const Deadline& deadline);
 
 // Aggregation helpers for layers that sum many sessions' GsStats into one
 // total (the EstimationService's telemetry aggregator).
 //
 // AddGsStats accumulates `delta` into `total`: counters and timings sum,
-// budget_exhausted ORs, max_level_width maxes, and delta.level_stats
-// batches are appended (the per-batch shape is preserved; consumers that
-// want per-level totals merge by GsLevelStats::level).
+// budget_exhausted ORs.
 void AddGsStats(const GsStats& delta, GsStats* total);
 
 // The growth of a session's cumulative stats since `prev`, an earlier

@@ -17,9 +17,8 @@
 // infinite (line 12's "no SITs available") and exploring them could never
 // win, so they are skipped outright.
 //
-// The enumeration is a pure function of (query, p) — both drivers of the
-// split DP call it and must see identical candidate lists for the
-// sequential and parallel results to agree bit-for-bit. The optional
+// The enumeration is a pure function of (query, p), so a cached list
+// (shape_cache.h) and a fresh one agree bit-for-bit. The optional
 // deadline bounds step 4's fan-out (2^filters combinations per join): when
 // it expires the enumeration stops early and reports truncation, so a
 // pathological query cannot overshoot a deadline by the whole enumeration.

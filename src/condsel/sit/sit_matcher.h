@@ -127,9 +127,10 @@ class SitMatcher {
   // (attr, attr2) with attr <= attr2 -> multidimensional candidates.
   std::map<std::pair<ColumnRef, ColumnRef>, std::vector<SitCandidate>>
       applicable2_;
-  // Atomic so the parallel getSelectivity driver's workers can charge
-  // view-matching calls concurrently; the applicability maps above are
-  // read-only once BindQuery returns, so lookups need no lock.
+  // Atomic so concurrent sessions sharing this matcher (one
+  // GetSelectivity per thread) can charge view-matching calls; the
+  // applicability maps above are read-only once BindQuery returns, so
+  // lookups need no lock.
   std::atomic<uint64_t> num_calls_{0};
 };
 

@@ -183,58 +183,5 @@ TEST(EstimatorEquivalence, MatchesGolden) {
   }
 }
 
-// getSelectivity transcript only, with a configurable thread count — the
-// parallel driver must reproduce the sequential estimates bit-for-bit.
-std::vector<std::string> GsTranscript(const Catalog& catalog, int num_joins,
-                                      int threads) {
-  CardinalityCache cache;
-  Evaluator evaluator(const_cast<Catalog*>(&catalog), &cache);
-  SitBuilder builder(&evaluator, SitBuildOptions{});
-  WorkloadOptions wopt;
-  wopt.num_queries = 4;
-  wopt.num_joins = num_joins;
-  wopt.num_filters = 3;
-  wopt.seed = 20260807;
-  std::vector<Query> workload = GenerateWorkload(catalog, &evaluator, wopt);
-  SitPool pool = GenerateSitPool(workload, 2, builder);
-
-  EstimationBudget budget;
-  budget.threads = threads;
-  NIndError nind;
-  DiffError diff;
-  std::vector<std::string> lines;
-  for (const Query& q : workload) {
-    for (const ErrorFunction* fn :
-         {static_cast<const ErrorFunction*>(&diff),
-          static_cast<const ErrorFunction*>(&nind)}) {
-      SitMatcher matcher(&pool);
-      matcher.BindQuery(&q);
-      AtomicSelectivityProvider provider(&matcher, fn);
-      GetSelectivity gs(&q, &provider, &budget);
-      for (PredSet p : SubPlanFamily(q)) {
-        const SelEstimate e = gs.Compute(p);
-        lines.push_back("p=" + std::to_string(p) + " sel=" +
-                        Hex(e.selectivity) + " err=" + Hex(e.error));
-      }
-    }
-  }
-  return lines;
-}
-
-TEST(EstimatorEquivalence, ParallelDriverMatchesSequential) {
-  SnowflakeOptions opt;
-  opt.scale = 0.01;
-  const Catalog catalog = BuildSnowflake(opt);
-  const std::vector<std::string> seq =
-      GsTranscript(catalog, /*num_joins=*/3, /*threads=*/1);
-  const std::vector<std::string> par =
-      GsTranscript(catalog, /*num_joins=*/3, /*threads=*/4);
-  ASSERT_FALSE(seq.empty());
-  ASSERT_EQ(seq.size(), par.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i], par[i]) << "estimate " << i;
-  }
-}
-
 }  // namespace
 }  // namespace condsel

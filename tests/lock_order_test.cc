@@ -6,10 +6,10 @@
 // ranks in the message — the same discipline as the analyzer's mutation
 // fixtures (a checker whose failure mode is unproven is decoration). The
 // soak proves the declared order *holds* under real contention: a
-// service Submit storm against snapshot refreshes plus parallel
-// GetSelectivity drivers, all with enforcement forced on; the run
-// completing (no abort) is the assertion of zero violations, and
-// checks_performed() advancing proves enforcement was actually live —
+// service Submit storm against snapshot refreshes plus GetSelectivity
+// sessions sharing one provider per pool, all with enforcement forced
+// on; the run completing (no abort) is the assertion of zero violations,
+// and checks_performed() advancing proves enforcement was actually live —
 // an env-var typo cannot silently turn the soak into a no-op.
 //
 // The soak also asserts the overload-telemetry fields the census in
@@ -104,8 +104,8 @@ TEST(OrderedMutexTest, SharedAndExclusiveInterleaveInOrder) {
 
 TEST(OrderedMutexTest, SameRankAscendingAddressIsLegal) {
   const EnforcementScope scope(true);
-  // Same rank, distinct instances — the worker-deque shape. Ascending
-  // address is the sanctioned pair order.
+  // Same rank, distinct instances — a `pair` family. Ascending address
+  // is the sanctioned pair order.
   OrderedMutex a(50, "pair_a");
   OrderedMutex b(50, "pair_b");
   OrderedMutex* lo = &a < &b ? &a : &b;
@@ -151,6 +151,7 @@ TEST(OrderedMutexDeathTest, SelfRelockAborts) {
         loi::ForceEnabledForTesting(true);
         OrderedMutex mu(10, "death_self");
         const std::lock_guard<OrderedMutex> a(mu);
+        // condsel-model: allow(lock-cycle)
         const std::lock_guard<OrderedMutex> b(mu);
       },
       "lock-order violation.*\"death_self\".*rank 10.*"
@@ -209,7 +210,7 @@ TEST_F(LockOrderSoakTest, StormTripsNoOrderViolation) {
   constexpr int kSessionThreads = 6;
   constexpr int kSubmitsPerThread = 16;
   constexpr int kRefreshes = 20;
-  constexpr int kComputeThreads = 2;
+  constexpr int kComputeThreads = 4;  // two per pool's shared provider
 
   ServiceOptions options;
   options.admission.max_concurrent = 3;
@@ -225,7 +226,7 @@ TEST_F(LockOrderSoakTest, StormTripsNoOrderViolation) {
   std::atomic<bool> stop{false};
 
   // Session storm: admission (kAdmission) -> snapshot acquire ->
-  // estimation (memo, deques, error slot) -> stats settle
+  // estimation (shape cache) -> stats settle
   // (kGsStatsLedger) -> breaker (kCircuitBreaker), every path nested
   // under the declared order or the process dies.
   std::vector<std::thread> sessions;
@@ -260,20 +261,27 @@ TEST_F(LockOrderSoakTest, StormTripsNoOrderViolation) {
     }
   });
 
-  // Parallel drivers outside the service: worker deques (same-rank pair
-  // steals), the first-error slot, and the shared-mutex memo.
+  // Estimation outside the service: one matcher and provider per pool,
+  // each shared by two threads running back-to-back sequential sessions
+  // (one GetSelectivity per session), so TSan watches the provider's
+  // concurrent Score/Estimate paths under the same storm.
+  DiffError diff;
+  std::vector<std::unique_ptr<SitMatcher>> matchers;
+  std::vector<std::unique_ptr<AtomicSelectivityProvider>> providers;
+  for (size_t i = 0; i < pools_.size(); ++i) {
+    matchers.push_back(std::make_unique<SitMatcher>(&pools_[i]));
+    matchers.back()->BindQuery(&workload_[i % workload_.size()]);
+    providers.push_back(
+        std::make_unique<AtomicSelectivityProvider>(matchers.back().get(),
+                                                    &diff));
+  }
   std::vector<std::thread> computes;
   for (int c = 0; c < kComputeThreads; ++c) {
     computes.emplace_back([&, c]() {
-      DiffError diff;
-      EstimationBudget budget;
-      budget.threads = 4;
+      const size_t i = static_cast<size_t>(c) % pools_.size();
+      const Query& q = workload_[i % workload_.size()];
       while (!stop.load(std::memory_order_relaxed)) {
-        const Query& q = workload_[c % workload_.size()];
-        SitMatcher matcher(&pools_[c % pools_.size()]);
-        matcher.BindQuery(&q);
-        AtomicSelectivityProvider provider(&matcher, &diff);
-        GetSelectivity gs(&q, &provider, &budget);
+        GetSelectivity gs(&q, providers[i].get());
         for (PredSet p : SubPlanFamily(q)) (void)gs.Compute(p);
       }
     });

@@ -12,9 +12,9 @@
 //  - old epochs retire only by refcount — after the storm, the live set
 //    collapses back to the current epoch;
 //  - each published epoch's statistics still estimate deterministically:
-//    the sequential and parallel getSelectivity drivers stay bit-identical
-//    on every epoch's pool after the chaos ends (the storm cannot have
-//    corrupted shared statistics).
+//    every pool's getSelectivity transcript after the chaos ends is
+//    bit-identical to the one taken before the storm (the storm cannot
+//    have corrupted shared statistics).
 //
 // Run under TSan in CI (the chaos-soak step) with CONDSEL_AUDIT=1.
 
@@ -51,19 +51,18 @@ std::string Hex(double v) {
   return buf;
 }
 
-// The full estimate transcript of `workload` against `pool` under
-// `budget` — the bit-identity probe from parallel_dp_test, reused to
-// check per-epoch determinism after the storm.
+// The full estimate transcript of `workload` against `pool`, one
+// "sel err" hexfloat pair per sub-plan — the bit-identity probe for
+// per-epoch determinism across the storm.
 std::vector<std::string> Transcript(const std::vector<Query>& workload,
-                                    const SitPool& pool,
-                                    const EstimationBudget* budget) {
+                                    const SitPool& pool) {
   DiffError diff;
   std::vector<std::string> lines;
   for (const Query& q : workload) {
     SitMatcher matcher(&pool);
     matcher.BindQuery(&q);
     AtomicSelectivityProvider provider(&matcher, &diff);
-    GetSelectivity gs(&q, &provider, budget);
+    GetSelectivity gs(&q, &provider);
     for (PredSet p : SubPlanFamily(q)) {
       const SelEstimate e = gs.Compute(p);
       lines.push_back(Hex(e.selectivity) + " " + Hex(e.error));
@@ -119,6 +118,13 @@ TEST_F(ServiceSoakTest, ChaosSoak) {
   options.max_queue_wait_seconds = 0.02;
   EstimationService service(options);
   ASSERT_TRUE(service.Refresh(catalog_, pools_[0]).ok());
+
+  // Per-pool transcripts before the storm, compared after it.
+  std::vector<std::vector<std::string>> before;
+  for (const SitPool& pool : pools_) {
+    before.push_back(Transcript(workload_, pool));
+    ASSERT_FALSE(before.back().empty());
+  }
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> ok_count{0};
@@ -231,18 +237,13 @@ TEST_F(ServiceSoakTest, ChaosSoak) {
   EXPECT_EQ(service.live_epochs(), 1u);
 
   // Per-epoch determinism after the chaos: both statistics generations
-  // still give bit-identical sequential vs parallel transcripts — the
-  // storm did not corrupt any shared statistics state.
-  for (const SitPool& pool : pools_) {
-    const std::vector<std::string> sequential =
-        Transcript(workload_, pool, nullptr);
-    EstimationBudget parallel_budget;
-    parallel_budget.threads = 4;
-    const std::vector<std::string> parallel =
-        Transcript(workload_, pool, &parallel_budget);
-    ASSERT_EQ(sequential.size(), parallel.size());
-    for (size_t i = 0; i < sequential.size(); ++i) {
-      EXPECT_EQ(sequential[i], parallel[i]) << "estimate " << i;
+  // still give the transcripts they gave before the storm, bit for bit —
+  // the storm did not corrupt any shared statistics state.
+  for (size_t k = 0; k < pools_.size(); ++k) {
+    const std::vector<std::string> after = Transcript(workload_, pools_[k]);
+    ASSERT_EQ(before[k].size(), after.size()) << "pool " << k;
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(before[k][i], after[i]) << "pool " << k << " estimate " << i;
     }
   }
 }

@@ -408,22 +408,18 @@ GsStats MakeStats(uint64_t subproblems, uint64_t atomics, bool exhausted) {
   s.atomic_considered = atomics;
   s.analysis_seconds = 0.25 * static_cast<double>(subproblems);
   s.budget_exhausted = exhausted;
-  s.max_level_width = subproblems;
   return s;
 }
 
 TEST(GsStatsMergeTest, AddAccumulatesAndOrsAndMaxes) {
   GsStats total = MakeStats(3, 10, false);
-  total.level_stats.push_back({1, 4, 0, 0, 4});
-  GsStats delta = MakeStats(5, 2, true);
-  delta.level_stats.push_back({2, 6, 1, 2, 3});
+  const GsStats delta = MakeStats(5, 2, true);
   AddGsStats(delta, &total);
   EXPECT_EQ(total.subproblems, 8u);
+  EXPECT_EQ(total.memo_hits, 16u);
   EXPECT_EQ(total.atomic_considered, 12u);
+  EXPECT_DOUBLE_EQ(total.analysis_seconds, 2.0);
   EXPECT_TRUE(total.budget_exhausted);
-  EXPECT_EQ(total.max_level_width, 5u);  // max, not sum
-  ASSERT_EQ(total.level_stats.size(), 2u);  // batches append
-  EXPECT_EQ(total.level_stats[1].level, 2);
 }
 
 TEST(GsStatsMergeTest, DiffIsTheGrowthSincePrev) {

@@ -92,7 +92,6 @@ TEST_P(PipelineSweepTest, MemoizedSubPlansAgreeWithFreshComputation) {
 }
 
 TEST_P(PipelineSweepTest, DpNeverWorseThanExhaustiveOnSmallQueries) {
-  if (GetParam().num_joins > 3) GTEST_SKIP() << "exhaustive too costly";
   Build();
   DiffError diff;
   for (const Query& q : workload_) {

@@ -4,18 +4,37 @@
 // (see common/thread_annotations.h); run the suite under
 // -DCONDSEL_SANITIZE=thread to have TSan check the same claims
 // dynamically.
+//
+// The suite also covers the one piece of estimation state that threads
+// share: an AtomicSelectivityProvider (and its SitMatcher) used by
+// several GetSelectivity sessions at once, each session on its own
+// thread. The per-call deadline contract of budget.h says no session can
+// observe another's clock, and a session killed by a throwing lookup
+// leaves the provider clean.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "condsel/common/fault_injector.h"
+#include "condsel/datagen/snowflake.h"
+#include "condsel/datagen/workload.h"
 #include "condsel/exec/cardinality_cache.h"
-#include "condsel/selectivity/budget.h"
+#include "condsel/exec/evaluator.h"
+#include "condsel/harness/metrics.h"
 #include "condsel/optimizer/memo.h"
 #include "condsel/query/query.h"
+#include "condsel/selectivity/budget.h"
+#include "condsel/selectivity/error_function.h"
+#include "condsel/selectivity/get_selectivity.h"
+#include "condsel/sit/sit_builder.h"
+#include "condsel/sit/sit_matcher.h"
+#include "condsel/sit/sit_pool.h"
 #include "test_util.h"
 
 namespace condsel {
@@ -143,6 +162,117 @@ TEST(ThreadSafetyTest, MemoConcurrentGroupCreation) {
     ASSERT_LT(id, memo.num_groups());
     (void)memo.group(id);  // stable reference, no tearing under TSan
   }
+}
+
+// A small snowflake workload and SIT pool for the shared-provider tests.
+struct SharedProviderWorld {
+  SharedProviderWorld() {
+    SnowflakeOptions sopt;
+    sopt.scale = 0.01;
+    catalog = BuildSnowflake(sopt);
+    Evaluator evaluator(&catalog, &cache);
+    SitBuilder builder(&evaluator, SitBuildOptions{});
+    WorkloadOptions wopt;
+    wopt.num_queries = 3;
+    wopt.num_joins = 3;
+    wopt.num_filters = 3;
+    wopt.seed = 7;
+    workload = GenerateWorkload(catalog, &evaluator, wopt);
+    pool = GenerateSitPool(workload, 2, builder);
+  }
+
+  Catalog catalog;
+  CardinalityCache cache;
+  std::vector<Query> workload;
+  SitPool pool;
+};
+
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+// Every sub-plan of `q` through `gs`, one "sel err" hexfloat pair each.
+std::vector<std::string> SubPlanTranscript(const Query& q,
+                                           GetSelectivity* gs) {
+  std::vector<std::string> lines;
+  for (PredSet p : SubPlanFamily(q)) {
+    const SelEstimate e = gs->Compute(p);
+    lines.push_back(Hex(e.selectivity) + " " + Hex(e.error));
+  }
+  return lines;
+}
+
+// Two estimation sessions sharing one provider (and matcher), both with
+// armed deadlines, running their searches concurrently: the per-call
+// deadline contract says neither can observe the other's clock, so both
+// transcripts must be bit-identical to an undisturbed baseline. Under
+// TSan this is the regression test for the set_deadline clobber race.
+TEST(ThreadSafetyTest, ConcurrentComputeOnSharedProvider) {
+  const SharedProviderWorld world;
+  DiffError diff;
+  const Query& q = world.workload.front();
+  SitMatcher matcher(&world.pool);
+  matcher.BindQuery(&q);
+  AtomicSelectivityProvider provider(&matcher, &diff);
+
+  std::vector<std::string> baseline;
+  {
+    GetSelectivity gs(&q, &provider, nullptr);
+    baseline = SubPlanTranscript(q, &gs);
+  }
+
+  // A generous deadline keeps both sessions' clocks armed for the whole
+  // search without ever expiring: every Score call carries a live
+  // per-call deadline, the worst case for cross-session interference.
+  EstimationBudget budget;
+  budget.deadline_seconds = 3600.0;
+  GetSelectivity gs_a(&q, &provider, &budget);
+  GetSelectivity gs_b(&q, &provider, &budget);
+
+  std::vector<std::string> lines_a;
+  std::vector<std::string> lines_b;
+  {
+    std::jthread ta([&] { lines_a = SubPlanTranscript(q, &gs_a); });
+    std::jthread tb([&] { lines_b = SubPlanTranscript(q, &gs_b); });
+  }
+  EXPECT_EQ(baseline, lines_a);
+  EXPECT_EQ(baseline, lines_b);
+}
+
+// An estimator killed mid-search by a throwing statistics lookup must not
+// poison the shared provider: after the search unwinds (and the estimator
+// is destroyed), a second estimator on the same provider — with the
+// slow-lookup fault armed, so the provider's scoring path runs its full
+// candidate loops — still produces bit-identical estimates. Before the
+// per-call deadline contract, the destroyed estimator's deadline pointer
+// stayed parked in the provider, and this scenario read freed memory.
+TEST(ThreadSafetyTest, ThrowingLookupLeavesSharedProviderClean) {
+  const SharedProviderWorld world;
+  DiffError diff;
+  const Query& q = world.workload.front();
+  SitMatcher matcher(&world.pool);
+  matcher.BindQuery(&q);
+  AtomicSelectivityProvider provider(&matcher, &diff);
+
+  std::vector<std::string> baseline;
+  {
+    GetSelectivity gs(&q, &provider, nullptr);
+    baseline = SubPlanTranscript(q, &gs);
+  }
+
+  EstimationBudget budget;
+  budget.deadline_seconds = 3600.0;  // armed when the throw unwinds
+  {
+    GetSelectivity doomed(&q, &provider, &budget);
+    ScopedFault boom(Fault::kThrowAtomicLookup);
+    EXPECT_THROW(doomed.Compute(q.all_predicates()), std::runtime_error);
+  }  // `doomed` (and its Deadline) destroyed here
+
+  ScopedFault slow(Fault::kSlowAtomicLookup);
+  GetSelectivity gs(&q, &provider, nullptr);
+  EXPECT_EQ(baseline, SubPlanTranscript(q, &gs));
 }
 
 }  // namespace
