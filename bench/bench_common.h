@@ -276,6 +276,15 @@ inline const char* AllocHookSelfTest() {
   return nullptr;
 }
 
+// Every replaced operator delete below releases through this one
+// out-of-line helper. Were each to call std::free directly, GCC would
+// inline it into call sites that also see the replaced operator new and
+// flag the pair under -Wmismatched-new-delete, although malloc/free is
+// exactly the pairing the hooks implement.
+[[gnu::noinline]] inline void ReleaseAllocation(void* p) noexcept {
+  std::free(p);
+}
+
 }  // namespace bench
 }  // namespace condsel
 
@@ -332,30 +341,42 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return ::operator new(size, align, tag);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  condsel::bench::ReleaseAllocation(p);
+}
+void operator delete[](void* p) noexcept {
+  condsel::bench::ReleaseAllocation(p);
+}
+void operator delete(void* p, std::size_t) noexcept {
+  condsel::bench::ReleaseAllocation(p);
+}
+void operator delete[](void* p, std::size_t) noexcept {
+  condsel::bench::ReleaseAllocation(p);
+}
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  condsel::bench::ReleaseAllocation(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  condsel::bench::ReleaseAllocation(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept {
+  condsel::bench::ReleaseAllocation(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  condsel::bench::ReleaseAllocation(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  condsel::bench::ReleaseAllocation(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  condsel::bench::ReleaseAllocation(p);
 }
 void operator delete(void* p, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  std::free(p);
+  condsel::bench::ReleaseAllocation(p);
 }
 void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  condsel::bench::ReleaseAllocation(p);
 }
 

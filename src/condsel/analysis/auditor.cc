@@ -24,6 +24,10 @@ std::string MaskToString(PredSet s) {
   return out;
 }
 
+// Relative tolerance for product- and memo-consistency (floating products
+// are re-associated between recording and checking).
+constexpr double kTolerance = 1e-9;
+
 bool BadUnitInterval(double v) {
   return std::isnan(v) || v < 0.0 || v > 1.0;
 }
@@ -32,9 +36,8 @@ bool BadUnitInterval(double v) {
 // reconstruct DAG paths for the report.
 class AuditPass {
  public:
-  AuditPass(const Query& query, const DerivationDag& dag,
-            const AuditOptions& options)
-      : query_(query), dag_(dag), options_(options) {
+  AuditPass(const Query& query, const DerivationDag& dag)
+      : query_(query), dag_(dag) {
     // First-recorded parent per child subset: enough to print one witness
     // path from a derivation root to any node.
     for (const DerivationNode& n : dag_.nodes()) {
@@ -402,7 +405,7 @@ class AuditPass {
     // SanitizeSelectivity before it is stored.
     expected = SanitizeSelectivity(expected);
     const double tol =
-        options_.tolerance * std::max(1.0, std::abs(expected));
+        kTolerance * std::max(1.0, std::abs(expected));
     if (std::isnan(n.selectivity) ||
         std::abs(n.selectivity - expected) > tol) {
       char buf[128];
@@ -420,7 +423,7 @@ class AuditPass {
       auto [it, inserted] = first.emplace(n.subset, n.selectivity);
       if (inserted || reported.count(n.subset) != 0) continue;
       const double tol =
-          options_.tolerance * std::max(1.0, std::abs(it->second));
+          kTolerance * std::max(1.0, std::abs(it->second));
       if (std::abs(n.selectivity - it->second) > tol) {
         char buf[128];
         std::snprintf(
@@ -499,7 +502,6 @@ class AuditPass {
 
   const Query& query_;
   const DerivationDag& dag_;
-  const AuditOptions& options_;
   AuditReport report_;
   std::unordered_map<PredSet, PredSet> parent_;
 };
@@ -564,18 +566,15 @@ std::string AuditReport::ToString() const {
   return out;
 }
 
-DerivationAuditor::DerivationAuditor(AuditOptions options)
-    : options_(options) {}
-
 AuditReport DerivationAuditor::Audit(const Query& query,
                                      const DerivationDag& dag) const {
-  return AuditPass(query, dag, options_).Run(nullptr);
+  return AuditPass(query, dag).Run(nullptr);
 }
 
 AuditReport DerivationAuditor::Audit(const Query& query,
                                      const DerivationDag& dag,
                                      const GsStats& stats) const {
-  return AuditPass(query, dag, options_).Run(&stats);
+  return AuditPass(query, dag).Run(&stats);
 }
 
 }  // namespace condsel

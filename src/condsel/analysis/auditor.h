@@ -82,16 +82,8 @@ struct AuditReport {
   std::string ToString() const;
 };
 
-struct AuditOptions {
-  // Relative tolerance for product-consistency (floating products are
-  // re-associated between recording and checking).
-  double tolerance = 1e-9;
-};
-
 class DerivationAuditor {
  public:
-  explicit DerivationAuditor(AuditOptions options = {});
-
   // Structural + algebraic audit of the whole DAG.
   AuditReport Audit(const Query& query, const DerivationDag& dag) const;
 
@@ -100,9 +92,6 @@ class DerivationAuditor {
   // DAG (the counters are that search's).
   AuditReport Audit(const Query& query, const DerivationDag& dag,
                     const GsStats& stats) const;
-
- private:
-  AuditOptions options_;
 };
 
 }  // namespace condsel

@@ -100,12 +100,16 @@ double GvmEstimator::Estimate(const Query& query, PredSet p) {
     const PredSet context = p & ~(1u << f);
     if (chosen.count(f)) {
       const SitCandidate& cand = chosen[f];
-      FactorProvenance fprov;
-      const double filter_sel = provider_.EstimateFilterWith(
-          query, f, cand, recorder_ != nullptr ? &fprov : nullptr);
+      FactorChoice committed;
+      committed.feasible = true;
+      committed.sits = {cand};
+      prov.clear();
+      const double filter_sel = SanitizeSelectivity(provider_.Estimate(
+          query, 1u << f, committed, recorder_ != nullptr ? &prov : nullptr));
       sel *= filter_sel;
       n_ind += static_cast<double>(SetSize(context & ~cand.expr_mask));
-      record_atom(f, filter_sel, cand, context, fprov);
+      record_atom(f, filter_sel, cand, context,
+                  prov.empty() ? FactorProvenance{} : prov.front());
     } else {
       FactorChoice choice =
           provider_.Score(query, 1u << f, /*cond=*/0);

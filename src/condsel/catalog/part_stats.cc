@@ -9,7 +9,6 @@
 #include "condsel/common/fault_injector.h"
 #include "condsel/common/macros.h"
 #include "condsel/histogram/histogram_merge.h"
-#include "condsel/query/join_graph.h"
 
 namespace condsel {
 
@@ -38,63 +37,24 @@ bool PieceSane(const Histogram& h) {
   return true;
 }
 
+// The specs at `indices` (into `specs`), in that order.
+std::vector<SitSpec> SelectSpecs(const std::vector<SitSpec>& specs,
+                                 const std::vector<int32_t>& indices) {
+  std::vector<SitSpec> out;
+  out.reserve(indices.size());
+  for (const int32_t i : indices) out.push_back(specs[static_cast<size_t>(i)]);
+  return out;
+}
+
 }  // namespace
-
-bool SitSpec::References(TableId t) const {
-  for (const Predicate& p : expression) {
-    for (const ColumnRef& c : p.attrs()) {
-      if (c.table == t) return true;
-    }
-  }
-  return false;
-}
-
-std::vector<SitSpec> EnumerateSitSpecs(const std::vector<Query>& workload,
-                                       int max_join_preds) {
-  // Mirrors GenerateSitPool exactly (sit_pool.cc): base histograms over
-  // the sorted referenced-column set, then per canonical expression in
-  // map order, attributes in sorted order. Keeping the two in lockstep is
-  // what makes merged-pool SitIds line up with GenerateSitPool's.
-  std::vector<SitSpec> specs;
-
-  std::set<ColumnRef> columns;
-  for (const Query& q : workload) {
-    for (const Predicate& p : q.predicates()) {
-      for (const ColumnRef& c : p.attrs()) columns.insert(c);
-    }
-  }
-  for (const ColumnRef& c : columns) {
-    specs.push_back(SitSpec{c, {}});
-  }
-  if (max_join_preds == 0) return specs;
-
-  std::map<std::vector<Predicate>, std::set<ColumnRef>> wanted;
-  for (const Query& q : workload) {
-    std::vector<ColumnRef> filter_attrs;
-    for (int i : SetElements(q.filter_predicates())) {
-      filter_attrs.push_back(q.predicate(i).column());
-    }
-    for (PredSet joins : ConnectedSubsets(q.predicates(),
-                                          q.join_predicates(),
-                                          max_join_preds)) {
-      const TableSet joined = q.TablesOfSubset(joins);
-      const std::vector<Predicate> expr = q.CanonicalSubset(joins);
-      for (const ColumnRef& a : filter_attrs) {
-        if (!Contains(joined, a.table)) continue;
-        wanted[expr].insert(a);
-      }
-    }
-  }
-  for (const auto& [expr, attr_set] : wanted) {
-    for (const ColumnRef& a : attr_set) {
-      specs.push_back(SitSpec{a, expr});
-    }
-  }
-  return specs;
-}
 
 void PartStatsSet::SetSpecs(std::vector<SitSpec> specs) {
   specs_ = std::move(specs);
+  piece_index_.assign(specs_.size(), 0);
+  std::map<TableId, size_t> owned_so_far;
+  for (size_t s = 0; s < specs_.size(); ++s) {
+    piece_index_[s] = owned_so_far[specs_[s].owner()]++;
+  }
   entries_.clear();
 }
 
@@ -200,17 +160,11 @@ StatusOr<SitPool> PartStatsSet::BuildMergedPool(const Catalog& catalog,
   }
 
   SitPool pool;
-  for (const SitSpec& spec : specs_) {
+  for (size_t s = 0; s < specs_.size(); ++s) {
+    const SitSpec& spec = specs_[s];
     const TableId owner = spec.owner();
     const Table& table = catalog.table(owner);
-    const std::vector<int32_t> owned = SpecsOwnedBy(owner);
-    const auto pos_it = std::find_if(
-        owned.begin(), owned.end(), [&](int32_t s) {
-          return specs_[static_cast<size_t>(s)] == spec;
-        });
-    // invariant: every spec appears in its own owner's owned-spec list.
-    CONDSEL_CHECK(pos_it != owned.end());
-    const size_t pos = static_cast<size_t>(pos_it - owned.begin());
+    const size_t pos = piece_index_[s];
 
     std::vector<Histogram> pieces;
     std::vector<uint64_t> generations;
@@ -302,44 +256,18 @@ PartStatsEntry PartStatsMaintainer::BuildEntry(TableId table,
   const Table& t = catalog_->table(table);
   const Part& part = t.part(part_index);
   const size_t begin = t.part_row_offset(part_index);
-  const size_t end = begin + part.num_rows();
+  const RowRestriction part_rows{table, begin, begin + part.num_rows()};
 
   PartStatsEntry entry;
   entry.table = table;
   entry.part = part.id();
   entry.generation = part.generation();
   entry.rows = static_cast<double>(part.num_rows());
-
-  const std::vector<int32_t> owned = stats_.SpecsOwnedBy(table);
-  entry.pieces.resize(owned.size());
-  entry.diffs.resize(owned.size());
-
-  // Group by expression so each expression is evaluated once per part,
-  // same as GenerateSitPool does globally.
-  std::map<std::vector<Predicate>, std::vector<size_t>> by_expr;
-  for (size_t i = 0; i < owned.size(); ++i) {
-    const SitSpec& spec = stats_.specs()[static_cast<size_t>(owned[i])];
-    if (spec.expression.empty()) {
-      Sit sit = builder_.BuildForRange(spec.attr, {}, begin, end);
-      entry.pieces[i] = std::move(sit.histogram);
-      entry.diffs[i] = sit.diff;
-    } else {
-      by_expr[spec.expression].push_back(i);
-    }
-  }
-  for (const auto& [expr, positions] : by_expr) {
-    std::vector<ColumnRef> attrs;
-    attrs.reserve(positions.size());
-    for (size_t i : positions) {
-      attrs.push_back(stats_.specs()[static_cast<size_t>(owned[i])].attr);
-    }
-    std::vector<Sit> sits = builder_.BuildManyForRange(attrs, expr, begin, end);
-    // invariant: BuildManyForRange returns one Sit per requested attr.
-    CONDSEL_CHECK(sits.size() == positions.size());
-    for (size_t k = 0; k < positions.size(); ++k) {
-      entry.pieces[positions[k]] = std::move(sits[k].histogram);
-      entry.diffs[positions[k]] = sits[k].diff;
-    }
+  for (Sit& sit : builder_.BuildSpecs(
+           SelectSpecs(stats_.specs(), stats_.SpecsOwnedBy(table)),
+           &part_rows)) {
+    entry.pieces.push_back(std::move(sit.histogram));
+    entry.diffs.push_back(sit.diff);
   }
   return entry;
 }
@@ -427,54 +355,34 @@ StatusOr<DeltaReport> PartStatsMaintainer::ApplyDelta(
   // expression joins the delta table saw *its* source relation change in
   // every part — each of the owner's pieces for that spec is rebuilt in
   // place (owner part rows are unchanged, so generations stand).
-  std::map<TableId, std::vector<size_t>> cross;  // owner -> owned positions
+  std::map<TableId, std::vector<int32_t>> cross;  // owner -> spec indices
   for (size_t s = 0; s < stats_.specs().size(); ++s) {
     const SitSpec& spec = stats_.specs()[s];
     if (spec.owner() == batch.table) continue;
     if (!spec.References(batch.table)) continue;
-    const std::vector<int32_t> owned = stats_.SpecsOwnedBy(spec.owner());
-    const auto it = std::find(owned.begin(), owned.end(),
-                              static_cast<int32_t>(s));
-    // invariant: every spec appears in its own owner's owned-spec list.
-    CONDSEL_CHECK(it != owned.end());
-    cross[spec.owner()].push_back(
-        static_cast<size_t>(it - owned.begin()));
+    cross[spec.owner()].push_back(static_cast<int32_t>(s));
   }
   std::set<std::pair<TableId, PartId>> cross_touched;
-  for (const auto& [owner, positions] : cross) {
+  for (const auto& [owner, spec_ids] : cross) {
+    const std::vector<SitSpec> refreshed =
+        SelectSpecs(stats_.specs(), spec_ids);
     const Table& ot = catalog_->table(owner);
-    const std::vector<int32_t> owned = stats_.SpecsOwnedBy(owner);
     for (size_t pi = 0; pi < ot.num_parts(); ++pi) {
       const Part& part = ot.part(pi);
       const size_t begin = ot.part_row_offset(pi);
-      const size_t end = begin + part.num_rows();
+      const RowRestriction part_rows{owner, begin, begin + part.num_rows()};
       const PartStatsEntry* old = stats_.FindEntry(owner, part.id());
       // BuildAll populated an entry for every owner part and this
       // delta left owner parts untouched — invariant: the entry exists.
       CONDSEL_CHECK(old != nullptr);
       PartStatsEntry entry = *old;
-      // Group the affected positions by expression: one evaluation per
-      // (expression, part), as in BuildEntry.
-      std::map<std::vector<Predicate>, std::vector<size_t>> by_expr;
-      for (size_t p : positions) {
-        by_expr[stats_.specs()[static_cast<size_t>(owned[p])].expression]
-            .push_back(p);
-      }
-      for (const auto& [expr, pos_list] : by_expr) {
-        std::vector<ColumnRef> attrs;
-        for (size_t p : pos_list) {
-          attrs.push_back(
-              stats_.specs()[static_cast<size_t>(owned[p])].attr);
-        }
-        std::vector<Sit> sits =
-            builder_.BuildManyForRange(attrs, expr, begin, end);
-        // invariant: BuildManyForRange returns one Sit per requested attr.
-        CONDSEL_CHECK(sits.size() == pos_list.size());
-        for (size_t k = 0; k < pos_list.size(); ++k) {
-          entry.pieces[pos_list[k]] = std::move(sits[k].histogram);
-          entry.diffs[pos_list[k]] = sits[k].diff;
-          ++report.cross_table_pieces_rebuilt;
-        }
+      std::vector<Sit> sits = builder_.BuildSpecs(refreshed, &part_rows);
+      for (size_t k = 0; k < sits.size(); ++k) {
+        const size_t pos =
+            stats_.PieceIndex(static_cast<size_t>(spec_ids[k]));
+        entry.pieces[pos] = std::move(sits[k].histogram);
+        entry.diffs[pos] = sits[k].diff;
+        ++report.cross_table_pieces_rebuilt;
       }
       cross_touched.insert(std::make_pair(owner, part.id()));
       stats_.PutEntry(std::move(entry));

@@ -4,14 +4,12 @@
 // A statistic SIT_R(a | Q) is *owned* by a.table: restricting that table
 // to one part's rows partitions the expression result exactly (each
 // result tuple selects exactly one owner row), so per-part pieces built
-// with SitBuilder::BuildForRange sum to the global statistic. This file
-// holds the three layers of the partitioned scheme:
-//
-//  - SitSpec / EnumerateSitSpecs: the *shape* of a statistics pool —
-//    which (attribute | expression) pairs exist — enumerated in exactly
-//    the order GenerateSitPool adds SITs, so merged pools assign the same
-//    SitId to the same statistic and single-part databases stay
-//    bit-identical to the unpartitioned path.
+// with a RowRestriction (SitBuilder::BuildSpecs) sum to the global
+// statistic. The statistics themselves are the flat pool's: the spec
+// list is EnumerateSitSpecs (sit/sit_pool.h), the same list
+// GenerateSitPool builds, so merged pools assign the same SitId to the
+// same statistic and single-part databases stay bit-identical to the
+// unpartitioned path. This file holds two layers on top of it:
 //
 //  - PartStatsEntry / PartStatsSet: the stored per-part pieces, stamped
 //    with the owning part's generation. BuildMergedPool folds them into a
@@ -24,7 +22,8 @@
 //    the delta table, plus (for statistics owned by *other* tables whose
 //    expression joins the delta table) the cross-table pieces. Untouched
 //    parts keep their entries: that is the cost ∝ parts-touched property
-//    bench_staleness measures.
+//    bench_staleness measures. Both rebuilds go through
+//    SitBuilder::BuildSpecs with the part's row range as restriction.
 
 #pragma once
 
@@ -45,31 +44,6 @@
 
 namespace condsel {
 
-// The identity of one statistic: SIT_{attr.table}(attr | expression),
-// with the canonical (sorted) expression; empty = base histogram. The
-// owning table — the one whose parts partition the pieces — is always
-// attr.table.
-struct SitSpec {
-  ColumnRef attr;
-  std::vector<Predicate> expression;
-
-  TableId owner() const { return attr.table; }
-  // True if the expression references `t` (the owner is referenced by
-  // definition only when some predicate mentions it; base specs reference
-  // nothing beyond the owner).
-  bool References(TableId t) const;
-
-  friend bool operator==(const SitSpec&, const SitSpec&) = default;
-};
-
-// The specs GenerateSitPool would build for this workload, in the exact
-// order it adds them (base histograms over the sorted column set first,
-// then per canonical expression in map order, attributes sorted). The
-// returned list is duplicate-free, so BuildMergedPool's sequential Add
-// assigns SitId == spec index.
-std::vector<SitSpec> EnumerateSitSpecs(const std::vector<Query>& workload,
-                                       int max_join_preds);
-
 // Pieces of every spec owned by `table`, for one part. `pieces[i]` and
 // `diffs[i]` align with PartStatsSet::SpecsOwnedBy(table)[i]. The
 // generation stamp is the owning part's generation at build time — a
@@ -86,12 +60,15 @@ struct PartStatsEntry {
 class PartStatsSet {
  public:
   // Installs the spec list (clears existing entries: entries are indexed
-  // against the spec order).
+  // against the spec order) and computes each spec's piece index.
   void SetSpecs(std::vector<SitSpec> specs);
 
   const std::vector<SitSpec>& specs() const { return specs_; }
   // Indices into specs() of the specs owned by `t` (ascending).
   std::vector<int32_t> SpecsOwnedBy(TableId t) const;
+  // Position of specs()[spec] in its owner's piece vectors
+  // (PartStatsEntry::pieces / diffs).
+  size_t PieceIndex(size_t spec) const { return piece_index_[spec]; }
 
   void PutEntry(PartStatsEntry entry);
   const PartStatsEntry* FindEntry(TableId table, PartId part) const;
@@ -118,6 +95,7 @@ class PartStatsSet {
 
  private:
   std::vector<SitSpec> specs_;
+  std::vector<size_t> piece_index_;  // per spec, see PieceIndex
   std::map<std::pair<TableId, PartId>, PartStatsEntry> entries_;
 };
 

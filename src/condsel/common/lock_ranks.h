@@ -2,11 +2,9 @@
 //
 // Every rank-checked mutex in the library (common/ordered_mutex.h) is
 // constructed with one of these constants. The rule: a thread may only
-// acquire a mutex whose (rank, address) pair is lexicographically greater
-// than that of the last mutex it already holds — lower ranks are outer,
-// higher ranks are inner. Two mutexes share a rank only when they are
-// instances of the same multi-instance family (declared `pair` in the
-// manifest), in which case address order disambiguates.
+// acquire a mutex whose rank is strictly greater than that of the last
+// mutex it already holds — lower ranks are outer, higher ranks are
+// inner. Every rank names one mutex, so no two held locks share a rank.
 //
 // This table is mirrored by tools/lock_order.toml; tools/condsel_model.py
 // fails the build if the two drift apart or if any acquisition edge in

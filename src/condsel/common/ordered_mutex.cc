@@ -76,12 +76,9 @@ void NoteAcquire(const void* addr, int rank, const char* name) {
   g_checks.fetch_add(1, std::memory_order_relaxed);
   if (held.size > 0) {
     const HeldLock& top = held.entries[held.size - 1];
-    // Lexicographic (rank, address): equal ranks are legal only for
-    // distinct instances in ascending address order (multi-instance
-    // `pair` families).
-    const bool ordered =
-        rank > top.rank || (rank == top.rank && addr > top.addr);
-    if (!ordered) {
+    // Strictly inward: every rank names one mutex, so an equal rank is a
+    // self-relock or a second instance of one family, both illegal.
+    if (rank <= top.rank) {
       char msg[256];
       std::snprintf(msg, sizeof(msg),
                     "lock-order violation: acquiring \"%s\" (rank %d) "

@@ -5,9 +5,8 @@
 // std::shared_mutex, but each instance carries a rank from
 // common/lock_ranks.h and a name matching its tools/lock_order.toml
 // manifest entry. When enforcement is on, every acquisition is checked
-// against a thread-local stack of held locks: the new lock's
-// (rank, address) must be lexicographically greater than the top of the
-// stack. A violation aborts with both mutex names and ranks — turning a
+// against a thread-local stack of held locks: the new lock's rank must
+// be strictly greater than the rank at the top of the stack. A violation aborts with both mutex names and ranks — turning a
 // would-be deadlock that TSan can only catch when two threads actually
 // interleave into a deterministic failure on any single-threaded
 // traversal of the bad path.
@@ -41,7 +40,7 @@ void ForceEnabledForTesting(bool enabled);
 std::uint64_t checks_performed();
 
 // Called by the wrappers around each acquire/release. `addr` is the
-// wrapper's address (identity for same-rank instances).
+// wrapper's address (identifies the entry a release drops).
 void NoteAcquire(const void* addr, int rank, const char* name);
 void NoteRelease(const void* addr);
 

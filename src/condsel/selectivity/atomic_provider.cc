@@ -211,7 +211,7 @@ CONDSEL_HOT FactorChoice AtomicSelectivityProvider::ScoreImpl(
   auto consider = [&](const SitVec& sits) {
     double estimate = -1.0;
     if (needs_estimate) {
-      estimate = EstimateWith(query, p, sits, /*provenance=*/nullptr);
+      estimate = EstimateWith(query, p, sits);
     }
     const double err =
         error_fn_->FactorError(query, p, cond, sits, estimate);
@@ -281,8 +281,7 @@ CONDSEL_HOT FactorChoice AtomicSelectivityProvider::ScoreImpl(
 }
 
 CONDSEL_HOT double AtomicSelectivityProvider::EstimateWith(
-    const Query& query, PredSet p, const SitVec& sits,
-    std::vector<FactorProvenance>* provenance) const {
+    const Query& query, PredSet p, const SitVec& sits) const {
   int join_pred;
   int filters[kMaxPredicates];
   int num_filters;
@@ -298,12 +297,6 @@ CONDSEL_HOT double AtomicSelectivityProvider::EstimateWith(
     const bool a_first = fa.column() == sit.attr;
     const Predicate& fx = a_first ? fa : fb;
     const Predicate& fy = a_first ? fb : fa;
-    if (provenance != nullptr) {
-      provenance->push_back(MakeProvenance(
-          sit, "sit-2d",
-          BucketsInRange2d(sit.histogram2d, fx.lo(), fx.hi(), fy.lo(),
-                           fy.hi())));
-    }
     return SanitizeSelectivity(sit.histogram2d.RangeSelectivity(
         fx.lo(), fx.hi(), fy.lo(), fy.hi()));
   }
@@ -311,11 +304,6 @@ CONDSEL_HOT double AtomicSelectivityProvider::EstimateWith(
     CONDSEL_CHECK(sits.size() == 1);
     const Sit& sit = *sits[0].sit;
     const Predicate& f = query.predicate(filters[0]);
-    if (provenance != nullptr) {
-      provenance->push_back(
-          MakeProvenance(sit, sit.is_base() ? "base" : "sit-1d",
-                         BucketsInRangeMerged(sit, f.lo(), f.hi())));
-    }
     // Partitioned filter estimate: the pieces partition the source
     // relation, so the selectivity is the cardinality-weighted sum of
     // per-piece selectivities (one term with weight 1.0 when
@@ -356,17 +344,6 @@ CONDSEL_HOT double AtomicSelectivityProvider::EstimateWith(
       sel += w0 * w1 * pair_sel;
     });
   });
-  if (provenance != nullptr) {
-    // A histogram join walks every aligned bucket pair of its inputs
-    // (summed across pieces for a partitioned side).
-    for (const SitCandidate& c : sits) {
-      int buckets = 0;
-      ForEachPiece(*c.sit, [&](const Histogram& h, double) {
-        buckets += static_cast<int>(h.buckets().size());
-      });
-      provenance->push_back(MakeProvenance(*c.sit, "join-input", buckets));
-    }
-  }
   return SanitizeSelectivity(sel);
 }
 
@@ -374,17 +351,14 @@ CONDSEL_HOT double AtomicSelectivityProvider::Estimate(
     const Query& query, PredSet p, const FactorChoice& choice,
     std::vector<FactorProvenance>* provenance) const {
   CONDSEL_CHECK(choice.feasible);
-  if (choice.estimate >= 0.0) {
-    // Score() already computed the value (Opt ranking); only the
-    // description is (re)derived here.
-    if (provenance != nullptr) {
-      std::vector<FactorProvenance> described = Describe(query, p, choice);
-      provenance->insert(provenance->end(), described.begin(),
-                         described.end());
-    }
-    return choice.estimate;
+  if (provenance != nullptr) {
+    std::vector<FactorProvenance> described = Describe(query, p, choice);
+    provenance->insert(provenance->end(), described.begin(),
+                       described.end());
   }
-  return EstimateWith(query, p, choice.sits, provenance);
+  // Score() already computed the value when the ranking needed it (Opt).
+  if (choice.estimate >= 0.0) return choice.estimate;
+  return EstimateWith(query, p, choice.sits);
 }
 
 std::vector<FactorProvenance> AtomicSelectivityProvider::Describe(
@@ -461,27 +435,6 @@ std::vector<SitCandidate> AtomicSelectivityProvider::Candidates(
   // matching every mask so the stall behaves as before for GVM.
   MaybeInjectSlowLookup(~PredSet{0});
   return matcher_->Candidates(attr, cond, accounting);
-}
-
-double AtomicSelectivityProvider::EstimateFilterWith(
-    const Query& query, int filter_pred, const SitCandidate& cand,
-    FactorProvenance* provenance) const {
-  const Predicate& f = query.predicate(filter_pred);
-  CONDSEL_CHECK(f.is_filter());
-  CONDSEL_CHECK(cand.sit != nullptr);
-  if (provenance != nullptr) {
-    *provenance = MakeProvenance(
-        *cand.sit, cand.sit->is_base() ? "base" : "sit-1d",
-        BucketsInRangeMerged(*cand.sit, f.lo(), f.hi()));
-  }
-  // The raw histogram lookup does not sanitize — clamp here so a corrupted
-  // bucket cannot leak a NaN factor into a product (or a recorded
-  // derivation).
-  double sel = 0.0;
-  ForEachPiece(*cand.sit, [&](const Histogram& h, double w) {
-    sel += w * h.RangeSelectivity(f.lo(), f.hi());
-  });
-  return SanitizeSelectivity(sel);
 }
 
 }  // namespace condsel

@@ -94,9 +94,9 @@ class AtomicSelectivityProvider {
                      ScoreScratch* scratch = nullptr);
 
   // Histogram manipulation: evaluates the estimate of Sel(P' | Q) with
-  // the chosen SITs. When `provenance` is non-null it is filled with one
-  // record per chosen SIT (the strings are only built on request; pass
-  // null on hot paths that do not record derivations).
+  // the chosen SITs. When `provenance` is non-null Describe's records are
+  // appended to it (the strings are only built on request; pass null on
+  // hot paths that do not record derivations).
   double Estimate(const Query& query, PredSet p, const FactorChoice& choice,
                   std::vector<FactorProvenance>* provenance = nullptr) const;
 
@@ -121,12 +121,6 @@ class AtomicSelectivityProvider {
   std::vector<SitCandidate> Candidates(ColumnRef attr, PredSet cond,
                                        SitMatcher::CallAccounting accounting);
 
-  // Estimates one filter predicate with one committed SIT (GVM's
-  // rewritten-plan path), sanitized, with provenance.
-  double EstimateFilterWith(const Query& query, int filter_pred,
-                            const SitCandidate& cand,
-                            FactorProvenance* provenance) const;
-
   const ErrorFunction& error_fn() const { return *error_fn_; }
   SitMatcher& matcher() { return *matcher_; }
 
@@ -150,8 +144,8 @@ class AtomicSelectivityProvider {
   bool SplitShape(const Query& query, PredSet p, int* join_pred,
                   int filter_preds[], int* num_filters) const;
 
-  double EstimateWith(const Query& query, PredSet p, const SitVec& sits,
-                      std::vector<FactorProvenance>* provenance) const;
+  // The estimate itself; provenance comes only from Describe.
+  double EstimateWith(const Query& query, PredSet p, const SitVec& sits) const;
 
   SitMatcher* matcher_;
   const ErrorFunction* error_fn_;

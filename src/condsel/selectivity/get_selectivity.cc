@@ -169,11 +169,6 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
   PredSet best_p_prime = 0;
   FactorChoice best_choice;
 
-  // This frame's scored decompositions are charged to atomic_considered
-  // once, after its loop: the cap checks inside the loop see what earlier
-  // frames and the recursion below charged.
-  uint64_t considered = 0;
-
   for (PredSet p_prime : candidates) {
     // Stop scoring further candidates once the budget runs out mid-loop;
     // whatever has been found so far (possibly nothing) decides below.
@@ -191,8 +186,10 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
       stats_.budget_exhausted = true;
       break;
     }
+    // Charged before scoring, so the cap checks above see every
+    // decomposition scored so far, this frame's included.
+    ++stats_.atomic_considered;
     const auto t1 = Clock::now();
-    ++considered;
     FactorChoice choice =
         provider_->Score(*query_, p_prime, q, &deadline_, &scratch_);
     stats_.analysis_seconds += Seconds(t1, Clock::now());
@@ -204,8 +201,6 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
       best_choice = std::move(choice);
     }
   }
-
-  stats_.atomic_considered += considered;
 
   if (best_p_prime == 0) {
     // No feasible decomposition — a pool without base histograms for some

@@ -24,6 +24,17 @@ double NowSeconds() {
 
 constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
+// Rung budgets of the degradation ladder. kFull runs with unlimited
+// counts (its per-attempt wall clock comes from the caller's deadline);
+// kCapped runs these caps. kIndependence needs no budget: it forces the
+// immediate-fallback search (BudgetForMode).
+constexpr uint64_t kCappedMaxSubproblems = 64;
+constexpr uint64_t kCappedMaxAtomicDecompositions = 512;
+constexpr double kCappedDeadlineSeconds = 0.005;
+
+// Seed for the backoff jitter stream (deterministic across runs).
+constexpr uint64_t kJitterSeed = 0x5e671ce5eedull;
+
 // Releases an admission slot on every exit path of Submit.
 class SlotReleaser {
  public:
@@ -70,7 +81,7 @@ EstimationService::EstimationService(ServiceOptions options)
     : options_(std::move(options)),
       admission_(options_.admission),
       breaker_(options_.breaker),
-      jitter_rng_(options_.jitter_seed) {}
+      jitter_rng_(kJitterSeed) {}
 
 EstimationService::~EstimationService() = default;
 
@@ -135,10 +146,11 @@ EstimationBudget EstimationService::BudgetForMode(
   EstimationBudget budget;
   switch (mode) {
     case ServiceMode::kFull:
-      budget = options_.full_budget;
       break;
     case ServiceMode::kCapped:
-      budget = options_.capped_budget;
+      budget.max_subproblems = kCappedMaxSubproblems;
+      budget.max_atomic_decompositions = kCappedMaxAtomicDecompositions;
+      budget.deadline_seconds = kCappedDeadlineSeconds;
       break;
     case ServiceMode::kIndependence:
       // One memo entry exhausts the budget before any decomposition is
@@ -216,11 +228,9 @@ StatusOr<ServiceEstimate> EstimationService::Submit(const std::string& tenant,
                                                     SubmitOptions options) {
   counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   const double start = NowSeconds();
-  const double deadline_seconds = options.deadline_seconds > 0.0
-                                      ? options.deadline_seconds
-                                      : options_.default_deadline_seconds;
-  const double deadline_at =
-      deadline_seconds > 0.0 ? start + deadline_seconds : kNoDeadline;
+  const double deadline_at = options.deadline_seconds > 0.0
+                                 ? start + options.deadline_seconds
+                                 : kNoDeadline;
   const auto remaining = [&]() {
     return deadline_at == kNoDeadline ? kNoDeadline
                                       : deadline_at - NowSeconds();
@@ -266,14 +276,12 @@ StatusOr<ServiceEstimate> EstimationService::Submit(const std::string& tenant,
   counters_.mode_submissions[static_cast<int>(mode)].fetch_add(
       1, std::memory_order_relaxed);
 
-  // kFull with no count caps can only "fail" by deadline degradation; a
-  // degraded answer is kept as the graceful floor while retries probe for
-  // a clean one.
+  // kFull has no count caps, so it can only "fail" by deadline
+  // degradation: such an attempt is classified DEADLINE_EXCEEDED and
+  // retried while the caller still has budget, and the degraded answer is
+  // kept as the graceful floor returned if retries run out.
   const bool classify_degraded =
-      options_.retry_degraded_full_estimates && mode == ServiceMode::kFull &&
-      options_.full_budget.max_subproblems == 0 &&
-      options_.full_budget.max_atomic_decompositions == 0 &&
-      deadline_at != kNoDeadline;
+      mode == ServiceMode::kFull && deadline_at != kNoDeadline;
   bool have_floor = false;
   ServiceEstimate floor;
 

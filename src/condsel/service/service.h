@@ -63,32 +63,14 @@ struct ServiceOptions {
   AdmissionOptions admission;
   RetryPolicy retry;
   BreakerOptions breaker;
-  // Rung budgets of the degradation ladder. kFull runs `full_budget`
-  // (default: unlimited counts; per-attempt wall clock comes from the
-  // caller's deadline). kCapped runs `capped_budget`. kIndependence
-  // needs no budget: it forces the immediate-fallback search.
-  EstimationBudget full_budget;
-  EstimationBudget capped_budget{/*max_subproblems=*/64,
-                                 /*max_atomic_decompositions=*/512,
-                                 /*deadline_seconds=*/0.005};
-  // Whole-call deadline (queue wait + attempts + backoffs) applied when a
-  // Submit carries none. 0 = unlimited.
-  double default_deadline_seconds = 0.0;
   // Cap on the admission-queue wait when the effective deadline is
   // unlimited, so a shed decision is always reached.
   double max_queue_wait_seconds = 0.05;
-  // In kFull mode, when an attempt's estimate came back deadline-degraded
-  // (budget_exhausted with no count caps armed) and the caller still has
-  // budget for another try, classify the attempt DEADLINE_EXCEEDED and
-  // retry instead of returning the degraded answer; if retries run out,
-  // the degraded estimate is still returned (graceful floor).
-  bool retry_degraded_full_estimates = true;
-  // Seed for the backoff jitter stream (deterministic tests).
-  uint64_t jitter_seed = 0x5e671ce5eedull;
 };
 
 struct SubmitOptions {
-  // Whole-call deadline in seconds; 0 falls back to the service default.
+  // Whole-call deadline (queue wait + attempts + backoffs) in seconds;
+  // 0 = unlimited.
   double deadline_seconds = 0.0;
 };
 

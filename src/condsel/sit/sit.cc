@@ -4,6 +4,15 @@
 
 namespace condsel {
 
+bool SitSpec::References(TableId t) const {
+  for (const Predicate& p : expression) {
+    for (const ColumnRef& c : p.attrs()) {
+      if (c.table == t) return true;
+    }
+  }
+  return false;
+}
+
 std::string Sit::ToString(const Catalog& catalog) const {
   const TableSchema& schema = catalog.table(attr.table).schema();
   std::string s = "SIT(" + schema.name + "." +

@@ -35,6 +35,25 @@ struct SitPart {
   Histogram2d histogram2d;  // multidimensional pieces
 };
 
+// The identity of one unidimensional statistic:
+// SIT_{attr.table}(attr | expression), with the canonical (sorted)
+// expression; empty = base histogram. The owning table — the one whose
+// parts partition per-part pieces (catalog/part_stats.h) — is always
+// attr.table. EnumerateSitSpecs (sit_pool.h) lists a pool's specs and
+// SitBuilder::BuildSpecs builds them.
+struct SitSpec {
+  ColumnRef attr;
+  std::vector<Predicate> expression;
+
+  TableId owner() const { return attr.table; }
+  // True if the expression references `t` (the owner is referenced by
+  // definition only when some predicate mentions it; base specs reference
+  // nothing beyond the owner).
+  bool References(TableId t) const;
+
+  friend bool operator==(const SitSpec&, const SitSpec&) = default;
+};
+
 struct Sit {
   SitId id = -1;
   ColumnRef attr;

@@ -4,10 +4,8 @@
 
 #include <limits>
 #include <map>
-#include <set>
 
 #include "condsel/common/macros.h"
-#include "condsel/query/join_graph.h"
 #include "condsel/selectivity/get_selectivity.h"
 #include "condsel/sit/sit_matcher.h"
 
@@ -34,31 +32,12 @@ double WorkloadScore(const std::vector<Query>& workload,
 std::vector<Sit> BuildCandidates(const std::vector<Query>& workload,
                                  const SitBuilder& builder,
                                  const AdvisorOptions& opt) {
-  // Reuse the pool generator for the 1-d universe, then strip bases.
+  // Reuse the pool generator for the universe, then strip bases.
   const SitPool universe =
       GenerateSitPool(workload, opt.max_join_preds, builder);
   std::vector<Sit> candidates;
   for (const Sit& s : universe.sits()) {
     if (!s.is_base()) candidates.push_back(s);
-  }
-
-  if (opt.consider_multidim) {
-    std::set<std::pair<ColumnRef, ColumnRef>> pairs;
-    for (const Query& q : workload) {
-      const std::vector<int> fs = SetElements(q.filter_predicates());
-      for (size_t a = 0; a < fs.size(); ++a) {
-        for (size_t b = a + 1; b < fs.size(); ++b) {
-          ColumnRef ca = q.predicate(fs[a]).column();
-          ColumnRef cb = q.predicate(fs[b]).column();
-          if (ca.table != cb.table) continue;  // base 2-d SITs only
-          if (cb < ca) std::swap(ca, cb);
-          pairs.insert({ca, cb});
-        }
-      }
-    }
-    for (const auto& [ca, cb] : pairs) {
-      candidates.push_back(builder.Build2d(ca, cb, {}));
-    }
   }
   return candidates;
 }

@@ -25,9 +25,6 @@ struct AdvisorOptions {
   int budget = 10;
   // Candidate universe: every SIT of the J_i pools up to this join count.
   int max_join_preds = 3;
-  // Also consider 2-d SITs over filter-attribute pairs that co-occur on
-  // one table within a workload query.
-  bool consider_multidim = false;
 };
 
 struct AdvisorStep {

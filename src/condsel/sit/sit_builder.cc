@@ -21,11 +21,14 @@ SitBuilder::SitBuilder(Evaluator* evaluator, SitBuildOptions options)
 
 const Catalog& SitBuilder::catalog() const { return evaluator_->catalog(); }
 
-Sit SitBuilder::Build(ColumnRef attr,
-                      std::vector<Predicate> expression) const {
+Sit SitBuilder::Build(ColumnRef attr, std::vector<Predicate> expression,
+                      const RowRestriction* restriction) const {
   if (expression.empty()) {
-    const ColumnProjection base =
-        evaluator_->ProjectColumn(Query(std::vector<Predicate>{}), 0, attr);
+    // invariant: a restriction scopes the statistic's own table.
+    CONDSEL_CHECK(restriction == nullptr ||
+                  attr.table == restriction->table);
+    const ColumnProjection base = evaluator_->ProjectColumn(
+        Query(std::vector<Predicate>{}), 0, attr, restriction);
     Sit sit;
     sit.attr = attr;
     sit.histogram =
@@ -35,17 +38,12 @@ Sit SitBuilder::Build(ColumnRef attr,
     sit.diff = 0.0;
     return sit;
   }
-  std::vector<Sit> sits = BuildMany({attr}, std::move(expression));
+  std::vector<Sit> sits =
+      BuildMany({attr}, std::move(expression), restriction);
   return std::move(sits[0]);
 }
 
 std::vector<Sit> SitBuilder::BuildMany(
-    const std::vector<ColumnRef>& attrs,
-    std::vector<Predicate> expression) const {
-  return BuildManyImpl(attrs, std::move(expression), /*restriction=*/nullptr);
-}
-
-std::vector<Sit> SitBuilder::BuildManyImpl(
     const std::vector<ColumnRef>& attrs, std::vector<Predicate> expression,
     const RowRestriction* restriction) const {
   CONDSEL_CHECK(!expression.empty());
@@ -98,35 +96,29 @@ std::vector<Sit> SitBuilder::BuildManyImpl(
   return out;
 }
 
-Sit SitBuilder::BuildForRange(ColumnRef attr,
-                              std::vector<Predicate> expression,
-                              size_t row_begin, size_t row_end) const {
-  const RowRestriction restriction{attr.table, row_begin, row_end};
-  if (expression.empty()) {
-    const ColumnProjection base = evaluator_->ProjectColumn(
-        Query(std::vector<Predicate>{}), 0, attr, &restriction);
-    Sit sit;
-    sit.attr = attr;
-    sit.histogram =
-        BuildHistogram(options_.histogram_type, base.values,
-                       static_cast<double>(base.total_tuples),
-                       options_.max_buckets);
-    sit.diff = 0.0;
-    return sit;
+std::vector<Sit> SitBuilder::BuildSpecs(
+    const std::vector<SitSpec>& specs,
+    const RowRestriction* restriction) const {
+  std::vector<Sit> out(specs.size());
+  std::map<std::vector<Predicate>, std::vector<size_t>> by_expr;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].expression.empty()) {
+      out[i] = Build(specs[i].attr, {}, restriction);
+    } else {
+      by_expr[specs[i].expression].push_back(i);
+    }
   }
-  std::vector<Sit> sits =
-      BuildManyImpl({attr}, std::move(expression), &restriction);
-  return std::move(sits[0]);
+  for (const auto& [expr, positions] : by_expr) {
+    std::vector<ColumnRef> attrs;
+    attrs.reserve(positions.size());
+    for (const size_t i : positions) attrs.push_back(specs[i].attr);
+    std::vector<Sit> sits = BuildMany(attrs, expr, restriction);
+    for (size_t k = 0; k < positions.size(); ++k) {
+      out[positions[k]] = std::move(sits[k]);
+    }
+  }
+  return out;
 }
-
-std::vector<Sit> SitBuilder::BuildManyForRange(
-    const std::vector<ColumnRef>& attrs, std::vector<Predicate> expression,
-    size_t row_begin, size_t row_end) const {
-  CONDSEL_CHECK(!attrs.empty());
-  const RowRestriction restriction{attrs[0].table, row_begin, row_end};
-  return BuildManyImpl(attrs, std::move(expression), &restriction);
-}
-
 
 namespace {
 

@@ -24,16 +24,36 @@ class SitBuilder {
  public:
   SitBuilder(Evaluator* evaluator, SitBuildOptions options);
 
+  // Every build takes an optional `restriction` (borrowed for the call;
+  // nullptr = none), the Evaluator's convention. A restriction scopes the
+  // statistic to one part's slice of its owning table: it must name
+  // attr.table (every attribute's table, for the multi-attribute builds)
+  // and limits that table to rows [begin, end). Other expression tables
+  // contribute all rows, so the pieces over a table's parts partition the
+  // expression result exactly. The diff divergence is likewise computed
+  // against the part's own base distribution. A full-range restriction
+  // reproduces the unrestricted build bit for bit. Restricted builds
+  // bypass the evaluator's CardinalityCache; unrestricted ones use it.
+
   // Builds SIT(attr | expression). An empty expression builds the base
   // histogram. The returned Sit has id == -1 (assigned by SitPool).
-  Sit Build(ColumnRef attr, std::vector<Predicate> expression) const;
+  Sit Build(ColumnRef attr, std::vector<Predicate> expression,
+            const RowRestriction* restriction = nullptr) const;
 
   // Builds several SITs sharing one generating expression, evaluating the
-  // expression only once (pool generation creates many SITs per
-  // expression). `expression` must be non-empty and connected, and every
-  // attribute's table must appear in it.
+  // expression only once. `expression` must be non-empty and connected,
+  // and every attribute's table must appear in it.
   std::vector<Sit> BuildMany(const std::vector<ColumnRef>& attrs,
-                             std::vector<Predicate> expression) const;
+                             std::vector<Predicate> expression,
+                             const RowRestriction* restriction = nullptr) const;
+
+  // Builds one Sit per spec, in spec order: base histograms first, then
+  // each distinct expression evaluated once (BuildMany) for all of its
+  // attributes, expressions in sorted order. Flat pools
+  // (GenerateSitPool) and per-part pieces (PartStatsMaintainer) are both
+  // built here.
+  std::vector<Sit> BuildSpecs(const std::vector<SitSpec>& specs,
+                              const RowRestriction* restriction = nullptr) const;
 
   // Builds the multidimensional SIT(a, b | expression) over the joint
   // distribution of two attributes. With an empty expression both
@@ -43,26 +63,9 @@ class SitBuilder {
   Sit Build2d(ColumnRef a, ColumnRef b,
               std::vector<Predicate> expression) const;
 
-  // Part-scoped builds: the same statistics with the owning table —
-  // attr.table (every attrs entry for BuildManyForRange) — restricted to
-  // rows [row_begin, row_end), i.e. one part's slice. Other expression
-  // tables contribute all rows, so the pieces over a table's parts
-  // partition the expression result exactly. The diff divergence is
-  // likewise computed against the part's own base distribution. A
-  // full-range restriction reproduces the unrestricted build bit for bit.
-  Sit BuildForRange(ColumnRef attr, std::vector<Predicate> expression,
-                    size_t row_begin, size_t row_end) const;
-  std::vector<Sit> BuildManyForRange(const std::vector<ColumnRef>& attrs,
-                                     std::vector<Predicate> expression,
-                                     size_t row_begin, size_t row_end) const;
-
   const Catalog& catalog() const;
 
  private:
-  std::vector<Sit> BuildManyImpl(const std::vector<ColumnRef>& attrs,
-                                 std::vector<Predicate> expression,
-                                 const RowRestriction* restriction) const;
-
   Evaluator* evaluator_;
   SitBuildOptions options_;
 };

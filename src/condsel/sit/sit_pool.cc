@@ -38,9 +38,9 @@ bool SitPool::Has(ColumnRef attr,
   return index_.count(std::make_tuple(attr, ColumnRef{}, sorted)) > 0;
 }
 
-SitPool GenerateSitPool(const std::vector<Query>& workload,
-                        int max_join_preds, const SitBuilder& builder) {
-  SitPool pool;
+std::vector<SitSpec> EnumerateSitSpecs(const std::vector<Query>& workload,
+                                       int max_join_preds) {
+  std::vector<SitSpec> specs;
 
   // Base histograms for every referenced column.
   std::set<ColumnRef> columns;
@@ -50,13 +50,12 @@ SitPool GenerateSitPool(const std::vector<Query>& workload,
     }
   }
   for (const ColumnRef& c : columns) {
-    pool.Add(builder.Build(c, {}));
+    specs.push_back(SitSpec{c, {}});
   }
-  if (max_join_preds == 0) return pool;
+  if (max_join_preds == 0) return specs;
 
   // SIT(a | Q): a is a filter attribute of some query, Q a connected
-  // subset of that query's join predicates reaching a's table. Group the
-  // wanted SITs by expression first so each expression is evaluated once.
+  // subset of that query's join predicates reaching a's table.
   std::map<std::vector<Predicate>, std::set<ColumnRef>> wanted;
   for (const Query& q : workload) {
     std::vector<ColumnRef> filter_attrs;
@@ -75,10 +74,19 @@ SitPool GenerateSitPool(const std::vector<Query>& workload,
     }
   }
   for (const auto& [expr, attr_set] : wanted) {
-    const std::vector<ColumnRef> attrs(attr_set.begin(), attr_set.end());
-    for (Sit& sit : builder.BuildMany(attrs, expr)) {
-      pool.Add(std::move(sit));
+    for (const ColumnRef& a : attr_set) {
+      specs.push_back(SitSpec{a, expr});
     }
+  }
+  return specs;
+}
+
+SitPool GenerateSitPool(const std::vector<Query>& workload,
+                        int max_join_preds, const SitBuilder& builder) {
+  SitPool pool;
+  for (Sit& sit :
+       builder.BuildSpecs(EnumerateSitSpecs(workload, max_join_preds))) {
+    pool.Add(std::move(sit));
   }
   return pool;
 }

@@ -51,9 +51,19 @@ class SitPool {
       index_;
 };
 
-// Builds pool J_i for `workload`. For i == 0 the pool holds base
-// histograms only. Base histograms cover every column referenced by any
-// workload query (filter and join columns alike).
+// The specs of pool J_i for `workload`, in id order: base histograms over
+// the sorted set of every column any workload query references (filter
+// and join columns alike), then per canonical expression in sorted
+// order, its attributes sorted. For i == 0 the list holds base
+// histograms only. The list is duplicate-free, so adding the built SITs
+// in list order assigns SitId == spec index. This is the one definition
+// of which statistics exist: flat pools (GenerateSitPool) and per-part
+// pieces (catalog/part_stats.h) are both built from it.
+std::vector<SitSpec> EnumerateSitSpecs(const std::vector<Query>& workload,
+                                       int max_join_preds);
+
+// Builds pool J_i for `workload`: every EnumerateSitSpecs entry, added in
+// spec order.
 SitPool GenerateSitPool(const std::vector<Query>& workload, int max_join_preds,
                         const SitBuilder& builder);
 

@@ -1,9 +1,9 @@
 // Runtime lock-order enforcement (common/ordered_mutex.h).
 //
 // Two halves. The death tests prove the checker *can* fail: a
-// deliberately inverted acquisition, a self-relock, and a same-rank pair
-// taken against address order must each abort with both mutex names and
-// ranks in the message — the same discipline as the analyzer's mutation
+// deliberately inverted acquisition, a self-relock, and two instances of
+// one rank taken in either address order must each abort with both mutex
+// names and ranks in the message — the same discipline as the analyzer's mutation
 // fixtures (a checker whose failure mode is unproven is decoration). The
 // soak proves the declared order *holds* under real contention: a
 // service Submit storm against snapshot refreshes plus GetSelectivity
@@ -76,8 +76,12 @@ TEST(OrderedMutexTest, InOrderAcquisitionIsCountedAndClean) {
 
 TEST(OrderedMutexTest, DisabledEnforcementChecksNothing) {
   const EnforcementScope scope(false);
-  OrderedMutex outer(10, "test_outer");
-  OrderedMutex inner(20, "test_inner");
+  // Static storage: the deliberate inversion below must not share
+  // addresses with other tests' stack mutexes, or TSan's lock graph —
+  // which outlives each test in a whole-binary run — reports it as an
+  // inversion of their in-order nesting.
+  static OrderedMutex outer(10, "test_outer");
+  static OrderedMutex inner(20, "test_inner");
   const uint64_t before = loi::checks_performed();
   {
     // Inverted, but harmless without a concurrent opposite-order holder;
@@ -100,18 +104,6 @@ TEST(OrderedMutexTest, SharedAndExclusiveInterleaveInOrder) {
   {
     const std::unique_lock<OrderedSharedMutex> w(inner);
   }
-}
-
-TEST(OrderedMutexTest, SameRankAscendingAddressIsLegal) {
-  const EnforcementScope scope(true);
-  // Same rank, distinct instances — a `pair` family. Ascending address
-  // is the sanctioned pair order.
-  OrderedMutex a(50, "pair_a");
-  OrderedMutex b(50, "pair_b");
-  OrderedMutex* lo = &a < &b ? &a : &b;
-  OrderedMutex* hi = &a < &b ? &b : &a;
-  const std::lock_guard<OrderedMutex> first(*lo);
-  const std::lock_guard<OrderedMutex> second(*hi);
 }
 
 TEST(OrderedMutexDeathTest, InvertedAcquisitionAbortsWithBothNames) {
@@ -156,6 +148,22 @@ TEST(OrderedMutexDeathTest, SelfRelockAborts) {
       },
       "lock-order violation.*\"death_self\".*rank 10.*"
       "\"death_self\".*rank 10");
+}
+
+TEST(OrderedMutexDeathTest, SameRankAscendingAddressAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        loi::ForceEnabledForTesting(true);
+        OrderedMutex a(50, "death_pair_a");
+        OrderedMutex b(50, "death_pair_b");
+        OrderedMutex* lo = &a < &b ? &a : &b;
+        OrderedMutex* hi = &a < &b ? &b : &a;
+        const std::lock_guard<OrderedMutex> first(*lo);
+        // condsel-model: allow(lock-cycle)
+        const std::lock_guard<OrderedMutex> second(*hi);
+      },
+      "lock-order violation.*rank 50.*rank 50");
 }
 
 TEST(OrderedMutexDeathTest, SameRankDescendingAddressAborts) {

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "condsel/api.h"
@@ -105,6 +108,40 @@ TEST(PartStatsSpecTest, EnumerationMatchesGenerateSitPoolIdByIdOrder) {
     EXPECT_EQ(specs[i].expression, sit.expression) << "spec " << i;
     EXPECT_EQ(specs[i].owner(), sit.attr.table);
   }
+}
+
+TEST(PartStatsSpecTest, PoolSitsMatchOneSpecAtATimeBuilds) {
+  // Pool generation evaluates each expression once for all of its
+  // attributes; every SIT must still equal the statistic built for its
+  // own spec alone, so the shared evaluation never mixes attributes up.
+  const Catalog catalog = test::MakeTinyCatalog();
+  CardinalityCache cache;
+  Evaluator eval(&catalog, &cache);
+  const SitBuilder builder(&eval, Options());
+  const ColumnRef ra{0, 0}, rx{0, 1}, sy{1, 0}, sb{1, 1}, tz{2, 0}, tc{2, 1};
+  const std::vector<Query> workload = {
+      Query({Predicate::Filter(ra, 1, 5), Predicate::Join(rx, sy),
+             Predicate::Filter(sb, 100, 200), Predicate::Join(sb, tz),
+             Predicate::Filter(tc, 1, 3)})};
+  const SitPool pool = GenerateSitPool(workload, 2, builder);
+  const std::vector<SitSpec> specs = EnumerateSitSpecs(workload, 2);
+
+  ASSERT_EQ(pool.size(), static_cast<int32_t>(specs.size()));
+  int shared_expression_sits = 0;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const Sit& got = pool.sit(static_cast<SitId>(i));
+    const Sit want = builder.Build(specs[i].attr, specs[i].expression);
+    EXPECT_EQ(got.attr, want.attr) << "spec " << i;
+    EXPECT_EQ(got.expression, want.expression) << "spec " << i;
+    EXPECT_EQ(got.diff, want.diff) << "spec " << i;
+    ExpectSameHistogram(got.histogram, want.histogram);
+    if (i > 0 && !specs[i].expression.empty() &&
+        specs[i].expression == specs[i - 1].expression) {
+      ++shared_expression_sits;
+    }
+  }
+  // The workload must actually exercise the shared evaluation.
+  EXPECT_GT(shared_expression_sits, 0);
 }
 
 TEST(PartStatsMergeTest, SinglePartPoolIsBitIdenticalToUnpartitioned) {
@@ -313,6 +350,81 @@ TEST(PartStatsDeltaTest, DimensionDeltaRefreshesCrossTableJoinPieces) {
   StatusOr<std::shared_ptr<const SitPool>> rebuilt = fresh.MergedPool();
   ASSERT_TRUE(rebuilt.ok());
   ExpectSamePool(*incremental.value(), *rebuilt.value());
+}
+
+TEST(PartStatsDeltaTest, MixedBatchSequenceMatchesFreshRebuild) {
+  // A seeded sequence of inserts, partial deletes and part-emptying
+  // deletes on both tables. The workload gives each table a SIT whose
+  // expression joins the other, so every batch exercises the owner
+  // rebuild and the cross-table refresh. After every batch the
+  // incrementally maintained pool must equal a fresh build.
+  const std::vector<Query> workload = {
+      Query({Predicate::Join(Fd(), Dpk()), Predicate::Filter(Fa(), 10, 60)}),
+      Query({Predicate::Join(Fd(), Dpk()),
+             Predicate::Filter(ColumnRef{1, 1}, 0, 20)})};
+  Catalog catalog = MakeFactCatalog(3);
+  PartStatsMaintainer maintainer(&catalog, workload, 1, Options());
+  ASSERT_TRUE(maintainer.BuildAll().ok());
+
+  std::mt19937 rng(20260419);
+  auto uniform = [&](size_t n) {
+    return static_cast<size_t>(rng() % static_cast<uint32_t>(n));
+  };
+  int64_t next_pk = 10;
+  int inserts = 0, partial_deletes = 0, emptying_deletes = 0;
+  for (int step = 0; step < 24; ++step) {
+    DeltaBatch batch;
+    batch.table = static_cast<TableId>(uniform(2));
+    const Table& table = catalog.table(batch.table);
+    const size_t kind = uniform(4);  // 0-1 insert, 2 partial, 3 emptying
+    if (kind >= 2 && table.num_parts() >= 2) {
+      const size_t pi = uniform(table.num_parts());
+      const size_t begin = table.part_row_offset(pi);
+      const size_t rows = table.part(pi).num_rows();
+      if (kind == 3 || rows == 1) {
+        for (size_t r = begin; r < begin + rows; ++r) {
+          batch.delete_rows.push_back(r);
+        }
+        ++emptying_deletes;
+      } else {
+        // Up to half of the part's rows, never all of them.
+        const size_t n = 1 + uniform(std::max<size_t>(1, rows / 2));
+        for (size_t k = 0; k < n; ++k) {
+          batch.delete_rows.push_back(begin + k * (rows / n));
+        }
+        ++partial_deletes;
+      }
+    }
+    if (batch.delete_rows.empty() || uniform(3) == 0) {
+      const size_t n = 1 + uniform(5);
+      for (size_t k = 0; k < n; ++k) {
+        if (batch.table == 0) {
+          batch.insert_rows.push_back({static_cast<int64_t>(uniform(100)),
+                                       static_cast<int64_t>(uniform(12))});
+        } else {
+          batch.insert_rows.push_back(
+              {next_pk++, static_cast<int64_t>(uniform(40))});
+        }
+      }
+      ++inserts;
+    }
+
+    StatusOr<DeltaReport> report = maintainer.ApplyDelta(batch);
+    ASSERT_TRUE(report.ok()) << "step " << step << ": "
+                             << report.status().ToString();
+    StatusOr<std::shared_ptr<const SitPool>> incremental =
+        maintainer.MergedPool();
+    ASSERT_TRUE(incremental.ok()) << "step " << step;
+    PartStatsMaintainer fresh(&catalog, workload, 1, Options());
+    ASSERT_TRUE(fresh.BuildAll().ok());
+    StatusOr<std::shared_ptr<const SitPool>> rebuilt = fresh.MergedPool();
+    ASSERT_TRUE(rebuilt.ok()) << "step " << step;
+    SCOPED_TRACE("step " + std::to_string(step));
+    ExpectSamePool(*incremental.value(), *rebuilt.value());
+  }
+  EXPECT_GT(inserts, 0);
+  EXPECT_GT(partial_deletes, 0);
+  EXPECT_GT(emptying_deletes, 0);
 }
 
 TEST(PartStatsDeltaTest, RejectsMalformedBatches) {

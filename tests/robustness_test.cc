@@ -323,6 +323,21 @@ TEST_F(BudgetTest, AtomicDecompositionCapBites) {
   EXPECT_LE(stats->atomic_considered, 1u);
 }
 
+TEST_F(BudgetTest, AtomicDecompositionCapIsAHardCeiling) {
+  // Every scored decomposition is charged before it is scored, so no
+  // frame of the recursion can overshoot the cap by its own loop.
+  for (const uint64_t cap : {1u, 2u, 8u, 12u, 20u}) {
+    EstimationBudget budget;
+    budget.max_atomic_decompositions = cap;
+    Estimator est(&catalog_, &pool_, Ranking::kDiff, budget);
+    ASSERT_TRUE(est.TryEstimateSelectivity(query_).ok()) << "cap " << cap;
+    const GsStats* stats = est.StatsFor(query_);
+    ASSERT_NE(stats, nullptr);
+    EXPECT_TRUE(stats->budget_exhausted) << "cap " << cap;
+    EXPECT_LE(stats->atomic_considered, cap) << "cap " << cap;
+  }
+}
+
 TEST_F(BudgetTest, BudgetAppliesToLiveSessions) {
   Estimator est(&catalog_, &pool_);
   // Warm a session on a subset, then tighten the budget: the same

@@ -73,6 +73,48 @@ TEST_F(SitTest, BuildManyMatchesSingleBuilds) {
               lone_a.histogram.RangeSelectivity(1, 2), 1e-12);
 }
 
+void ExpectSameSit(const Sit& got, const Sit& want) {
+  EXPECT_EQ(got.attr, want.attr);
+  EXPECT_EQ(got.expression, want.expression);
+  EXPECT_EQ(got.diff, want.diff);
+  const Histogram& g = got.histogram;
+  const Histogram& w = want.histogram;
+  EXPECT_EQ(g.source_cardinality(), w.source_cardinality());
+  ASSERT_EQ(g.num_buckets(), w.num_buckets());
+  for (size_t b = 0; b < g.num_buckets(); ++b) {
+    EXPECT_EQ(g.buckets()[b].lo, w.buckets()[b].lo);
+    EXPECT_EQ(g.buckets()[b].hi, w.buckets()[b].hi);
+    EXPECT_EQ(g.buckets()[b].frequency, w.buckets()[b].frequency);
+    EXPECT_EQ(g.buckets()[b].distinct, w.buckets()[b].distinct);
+  }
+}
+
+TEST_F(SitTest, FullRangeRestrictionMatchesUnrestrictedBuild) {
+  // Restricting the owning table to all of its rows is no restriction:
+  // base histograms, single SITs and shared-expression builds all
+  // reproduce the unrestricted statistics bit for bit.
+  const RowRestriction all_r{0, 0, catalog_.table(0).num_rows()};
+  const RowRestriction all_s{1, 0, catalog_.table(1).num_rows()};
+  ExpectSameSit(builder_.Build(Ra(), {}, &all_r), builder_.Build(Ra(), {}));
+  ExpectSameSit(builder_.Build(Sb(), {}, &all_s), builder_.Build(Sb(), {}));
+
+  const std::vector<Predicate> expr = {Predicate::Join(Rx(), Sy()),
+                                       Predicate::Join(Sb(), Tz())};
+  ExpectSameSit(builder_.Build(Ra(), expr, &all_r),
+                builder_.Build(Ra(), expr));
+  ExpectSameSit(builder_.Build(Sb(), expr, &all_s),
+                builder_.Build(Sb(), expr));
+
+  const std::vector<Sit> restricted =
+      builder_.BuildMany({Ra(), Rx()}, expr, &all_r);
+  const std::vector<Sit> unrestricted = builder_.BuildMany({Ra(), Rx()}, expr);
+  ASSERT_EQ(restricted.size(), 2u);
+  ASSERT_EQ(unrestricted.size(), 2u);
+  for (size_t i = 0; i < restricted.size(); ++i) {
+    ExpectSameSit(restricted[i], unrestricted[i]);
+  }
+}
+
 TEST_F(SitTest, PoolDeduplicates) {
   SitPool pool;
   const SitId id1 = pool.Add(builder_.Build(Ra(), {}));

@@ -26,9 +26,11 @@ return inventory in cpp_model_common.py.  Four check families:
                   histogram accessors and tracked through assignments and
                   arithmetic; every escaping path (a `double` return, a
                   write to a `.selectivity`-like field) must pass through
-                  SanitizeSelectivity.  Supersedes condsel_lint's regex
-                  `sanitize-selectivity` rule, which stays as a fast
-                  pre-check.
+                  SanitizeSelectivity.  Complements condsel_lint's regex
+                  `sanitize-selectivity` rule rather than replacing it:
+                  a value computed from untainted inputs (a bare
+                  `return a / b` in an Estimate) has no taint source, so
+                  only the lint rule flags it.
   hot-path-alloc  CONDSEL_HOT (common/macros.h) marks the estimation hot
                   path.  Every heap-allocation site reachable from a hot
                   function is censused into tools/alloc_budget.toml; a new
@@ -469,7 +471,7 @@ def check_deadline_flow(model: FlowModel) -> list[Finding]:
 # Check 4: sanitize-flow.
 
 TAINT_SOURCE_RE = re.compile(
-    r"(?:->|\.)\s*(?:Estimate|EstimateWith|EstimateFilterWith|Score)\s*\(|"
+    r"(?:->|\.)\s*(?:Estimate|EstimateWith|Score)\s*\(|"
     r"\bRangeSelectivity\s*\(|\bEqualsSelectivity\s*\(|"
     r"\bJoinHistograms\s*\(|\bJoinSelectivity\s*\(|"
     r"(?:\.|->)\s*selectivity\b")

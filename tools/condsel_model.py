@@ -12,8 +12,7 @@ counter blocks — and checks the *relations* between them:
                       deadlock waiting for the right interleaving.
   rank-order          an acquisition edge contradicts the ranks declared
                       in tools/lock_order.toml (outer lock must have the
-                      strictly smaller rank; equal ranks only for `pair`
-                      families, which order by address at runtime).
+                      strictly smaller rank).
   manifest-sync       tools/lock_order.toml, common/lock_ranks.h, and the
                       OrderedMutex construction sites disagree — a rank
                       the runtime checker enforces must be the rank the
@@ -74,7 +73,6 @@ class MutexNode:
         self.file = file
         self.line = line
         self.rank = None      # from the manifest, when listed there
-        self.pair = False
         self.acquire_path = False
         self.rank_const = None  # lock_rank:: constant at the decl site
 
@@ -459,8 +457,7 @@ def check_manifest_sync(model, manifest, manifest_path, rank_consts):
             out.append(Finding(
                 "manifest-sync", manifest_path, 0,
                 f'rank {rank} assigned to both "{ranks_seen[rank]}" and '
-                f'"{name}" (ranks are unique; instances of one family '
-                "share a single `pair` entry)"))
+                f'"{name}" (ranks are unique)'))
         ranks_seen[rank] = name
         if rank_consts is not None:
             if const not in rank_consts:
@@ -478,7 +475,6 @@ def check_manifest_sync(model, manifest, manifest_path, rank_consts):
         node = model.nodes.get(name)
         if node is not None:
             node.rank = rank
-            node.pair = bool(e.get("pair", False))
             node.acquire_path = bool(e.get("acquire_path", False))
 
     site_labels = set()
@@ -513,13 +509,9 @@ def check_lock_cycle(model):
     adj = {}
     for e in model.edges:
         if e.src == e.dst:
-            node = model.nodes.get(e.src)
-            if node is not None and node.pair:
-                continue  # same-rank family; runtime orders by address
             out.append(Finding(
                 "lock-cycle", e.file, e.line,
-                f'"{e.src}" acquired while already held '
-                "(self-deadlock unless this is a `pair` family)"))
+                f'"{e.src}" acquired while already held (self-deadlock)'))
             continue
         adj.setdefault(e.src, []).append(e)
 
@@ -574,7 +566,7 @@ def check_rank_order(model):
         if src.rank is None or dst.rank is None:
             continue
         if e.src == e.dst:
-            continue  # pair families handled by lock-cycle
+            continue  # self-edges are reported by lock-cycle
         if src.rank >= dst.rank:
             via = f" via {e.via}()" if e.via else ""
             out.append(Finding(
